@@ -71,7 +71,7 @@ type result struct {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("perfbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	cfg := config{setups: 9, warmUp: 2 * time.Second}
+	cfg := config{setups: 21, warmUp: 2 * time.Second}
 	fs.StringVar(&cfg.workload, "workload", "", "predict-cold, predict-hot or table2-batch")
 	fs.Int64Var(&cfg.seed, "seed", 1, "seed the workload's inputs are generated from")
 	seconds := fs.Float64("seconds", 20, "length of the timed phase in seconds")
@@ -117,12 +117,14 @@ func runBench(ctx context.Context, cfg config, out io.Writer) (*result, error) {
 		tr = newTracer()
 	}
 	setups := make([]float64, 0, cfg.setups)
+	setupCPU := make([]float64, 0, cfg.setups)
 	for i := 0; i < cfg.setups; i++ {
-		start := time.Now()
+		start, cpu := time.Now(), cpuTime()
 		if err := w.setup(ctx, tr); err != nil {
 			return nil, fmt.Errorf("%s set-up: %w", cfg.workload, err)
 		}
 		setups = append(setups, time.Since(start).Seconds())
+		setupCPU = append(setupCPU, (cpuTime() - cpu).Seconds())
 	}
 
 	res := &result{Metrics: make(map[string]metric)}
@@ -132,7 +134,7 @@ func runBench(ctx context.Context, cfg config, out io.Writer) (*result, error) {
 	if !cfg.trace {
 		p := measure(ctx, w, cfg.seconds, warm.calls, nil)
 		phases = append(phases, p)
-		endToEnd(res, p, setups, out)
+		endToEnd(res, p, setups, setupCPU, out)
 	} else {
 		w.base().beginPhase()
 		a := measure(ctx, w, cfg.seconds/2, warm.calls, nil)
@@ -161,23 +163,24 @@ func runBench(ctx context.Context, cfg config, out io.Writer) (*result, error) {
 }
 
 // endToEnd fills the end-to-end metrics of an untraced run.
-func endToEnd(res *result, p *phase, setups []float64, out io.Writer) {
+func endToEnd(res *result, p *phase, setups, setupCPU []float64, out io.Writer) {
 	n := float64(p.points)
 	add := func(name, unit string, v float64, samples string) {
 		res.Metrics[name] = metric{Value: v, Unit: unit}
 		fmt.Fprintf(out, "  %-16s %14.6g %-6s %s\n", name, v, unit, samples)
 	}
-	ops := fmt.Sprintf("n=%d ops in %.2f s; median of %d slices (mean %.6g)", p.points, p.wall.Seconds(), len(p.slices), n/p.wall.Seconds())
-	lat := fmt.Sprintf("n=%d samples", p.latN)
-	if p.latN > int64(len(p.lat)) {
-		lat += fmt.Sprintf(" (quantile of a uniform sample of %d)", len(p.lat))
+	ops := fmt.Sprintf("n=%d ops in %d calls, %.2f s; %d inputs, median of %d call cycles each (ops/wall time: %.6g)",
+		p.points, p.calls, p.wall.Seconds(), len(p.cycles), p.cyclesPerInput(), n/p.wall.Seconds())
+	lat := fmt.Sprintf("n=%d samples", p.lat.n)
+	if p.lat.n > int64(len(p.lat.xs)) {
+		lat += fmt.Sprintf(" (quantile of a uniform sample of %d)", len(p.lat.xs))
 	}
 	add("ops_per_s", "ops/s", p.rate(), ops)
-	add("latency_p50_ms", "ms", ms(quantile(p.lat, 0.50)), lat)
-	add("latency_p90_ms", "ms", ms(quantile(p.lat, 0.90)), lat)
+	add("latency_p50_ms", "ms", ms(quantile(p.lat.xs, 0.50)), lat)
+	add("latency_p90_ms", "ms", ms(quantile(p.lat.xs, 0.90)), lat)
 	add("cpu_ms_per_op", "ms", ms(p.cpuPerOp()), fmt.Sprintf("n=%d ops; median of %d slices (mean %.6g)", p.points, len(p.slices), ms(p.cpu)/n))
 	add("peak_rss_mb", "MB", p.peakRSS(), fmt.Sprintf("n=%d slices; p90 of each slice's VmHWM", len(p.slices)))
-	add("setup_s", "s", median(setups), fmt.Sprintf("n=%d set-ups (median)", len(setups)))
+	add("setup_s", "s", median(setups), fmt.Sprintf("n=%d set-ups (median; process CPU %.6g s)", len(setups), median(setupCPU)))
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -12,17 +12,21 @@ import (
 	"time"
 )
 
-// window is the length of the slices a timed phase is cut into; rates
-// are reported as the median over the slices, so a burst of load from
+// window is the length of the slices a timed phase is cut into; CPU per
+// op is reported as the median over the slices, so a burst of load from
 // outside the process moves the minority of slices it hits, not the
 // result. A call longer than a window makes a slice of its own.
 const window = 250 * time.Millisecond
 
-// latCap bounds the latency samples a phase keeps. Past it, samples are
+// latCap bounds the per-call samples a phase keeps. Past it, samples are
 // kept by reservoir sampling, so the benchmark's own memory stays flat
 // and out of peak_rss_mb: a predict-hot run serves ~700k requests, whose
 // latencies alone would otherwise take ~12 MB of a ~30 MB process.
 const latCap = 1 << 16
+
+// keyCap bounds the call cycles a phase keeps per input; past it they
+// are kept by reservoir sampling.
+const keyCap = 63
 
 // slice is the work done in one window of a phase.
 type slice struct {
@@ -39,13 +43,15 @@ type phase struct {
 	refused   int64 // 429 and 503 responses
 	respBytes int64
 	wall      time.Duration
-	lat       []time.Duration // handler latency per call (untraced phases), a uniform sample of latN
-	latN      int64
-	rng       *rand.Rand
-	slices    []slice
-	cpu       time.Duration // process user+sys CPU time
-	gcCPU     float64       // GC CPU seconds (runtime/metrics)
-	allocB    float64       // heap bytes allocated
+	lat       reservoir // handler latency per call (untraced phases)
+	// cycles holds, per input (callOutcome.key), the wall time from the
+	// end of the previous call to the end of each call of that input.
+	cycles map[int]*reservoir
+	cycRNG *rand.Rand
+	slices []slice
+	cpu    time.Duration // process user+sys CPU time
+	gcCPU  float64       // GC CPU seconds (runtime/metrics)
+	allocB float64       // heap bytes allocated
 }
 
 // measure issues workload calls first, first+1, … from one closed-loop
@@ -53,18 +59,18 @@ type phase struct {
 // is the bare request and its handler latency is sampled; otherwise each
 // call is the traced replay.
 func measure(ctx context.Context, w workload, d time.Duration, first int, tr *tracer) *phase {
-	p := &phase{lat: make([]time.Duration, 0, latCap), rng: rand.New(rand.NewSource(1))}
+	p := &phase{lat: newReservoir(latCap, rand.New(rand.NewSource(1))), cycles: make(map[int]*reservoir), cycRNG: rand.New(rand.NewSource(2))}
 	cpu0, rt0 := cpuTime(), readRuntime()
 	start := time.Now()
 	cur := slice{}
-	curStart, curCPU := start, cpu0
+	curStart, curCPU, last := start, cpu0, start
 	resetPeakRSS()
 	for i := first; i == first || time.Since(start) < d; i++ {
 		var oc callOutcome
 		if tr == nil {
 			var lat time.Duration
 			lat, oc = w.do(ctx, i)
-			p.sample(lat)
+			p.lat.add(lat)
 		} else {
 			oc = w.doTraced(ctx, i, tr)
 		}
@@ -74,7 +80,10 @@ func measure(ctx context.Context, w workload, d time.Duration, first int, tr *tr
 		p.refused += int64(oc.refused)
 		p.respBytes += int64(oc.respBytes)
 		cur.points += int64(oc.points)
-		if now := time.Now(); now.Sub(curStart) >= window {
+		now := time.Now()
+		p.cycle(oc.key).add(now.Sub(last))
+		last = now
+		if now.Sub(curStart) >= window {
 			c := cpuTime()
 			cur.wall, cur.cpu, cur.peakMB = now.Sub(curStart), c-curCPU, peakRSSMB()
 			resetPeakRSS()
@@ -93,23 +102,60 @@ func measure(ctx context.Context, w workload, d time.Duration, first int, tr *tr
 	return p
 }
 
-// sample records a call's latency (reservoir sampling, algorithm R).
-func (p *phase) sample(d time.Duration) {
-	p.latN++
-	if len(p.lat) < latCap {
-		p.lat = append(p.lat, d)
-	} else if j := p.rng.Int63n(p.latN); j < latCap {
-		p.lat[j] = d
+// reservoir is a uniform sample of at most cap(xs) of the n durations
+// added to it (reservoir sampling, algorithm R).
+type reservoir struct {
+	xs  []time.Duration
+	n   int64
+	rng *rand.Rand
+}
+
+func newReservoir(size int, rng *rand.Rand) reservoir {
+	return reservoir{xs: make([]time.Duration, 0, size), rng: rng}
+}
+
+func (r *reservoir) add(d time.Duration) {
+	r.n++
+	if len(r.xs) < cap(r.xs) {
+		r.xs = append(r.xs, d)
+	} else if j := r.rng.Int63n(r.n); j < int64(cap(r.xs)) {
+		r.xs[j] = d
 	}
 }
 
-// rate is the median over the phase's slices of points per second.
-func (p *phase) rate() float64 {
-	xs := make([]float64, len(p.slices))
-	for i, s := range p.slices {
-		xs[i] = float64(s.points) / s.wall.Seconds()
+// cycle returns the call-cycle sample of input key.
+func (p *phase) cycle(key int) *reservoir {
+	r := p.cycles[key]
+	if r == nil {
+		v := newReservoir(keyCap, p.cycRNG)
+		r = &v
+		p.cycles[key] = r
 	}
-	return median(xs)
+	return r
+}
+
+// rate is the phase's points per second on one pass over the inputs it
+// served, each input timed by its median call cycle: points per call ×
+// inputs ÷ the sum of the inputs' medians. On a shared host the calls
+// that lose the CPU to another tenant take milliseconds where the rest
+// take microseconds, and how many there are depends on the host, not on
+// the program; a median per input drops them, while every input, cheap
+// or costly, still counts once.
+func (p *phase) rate() float64 {
+	var sum time.Duration
+	for _, r := range p.cycles {
+		sum += quantile(r.xs, 0.5)
+	}
+	return float64(p.points) / float64(p.calls) * float64(len(p.cycles)) / sum.Seconds()
+}
+
+// cyclesPerInput is the median number of call cycles per input.
+func (p *phase) cyclesPerInput() int64 {
+	ns := make([]int64, 0, len(p.cycles))
+	for _, r := range p.cycles {
+		ns = append(ns, r.n)
+	}
+	return quantile(ns, 0.5)
 }
 
 // cpuPerOp is the median over the phase's slices of CPU time per point.

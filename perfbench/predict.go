@@ -222,9 +222,11 @@ func newSamples(seed int64, n int) predictSamples {
 // outcome classifies the response to request k.
 func (s *predictSamples) outcome(k int, rec *httptest.ResponseRecorder) callOutcome {
 	if rec.Code != http.StatusOK {
-		return statusOutcome(rec.Code, 1)
+		oc := statusOutcome(rec.Code, 1)
+		oc.key = k
+		return oc
 	}
-	oc := callOutcome{points: 1, respBytes: rec.Body.Len()}
+	oc := callOutcome{key: k, points: 1, respBytes: rec.Body.Len()}
 	if s.want[k] {
 		var r server.PredictResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil {

@@ -59,6 +59,7 @@ func newWorkload(cfg config) (workload, error) {
 
 // callOutcome is what one call contributed to its phase.
 type callOutcome struct {
+	key       int // which of the workload's inputs the call served
 	points    int // ops attempted
 	failed    int // non-200 responses, per-point errors and failed checks
 	refused   int // 429 and 503 responses
