@@ -611,10 +611,38 @@ func (m *Manager) runJob(j *job) {
 	}
 	result, err := m.cfg.Exec(ctx, view, env)
 	root.End()
-	m.finish(j, result, err)
+	m.mu.Lock()
+	next := m.outcomeLocked(j, err)
+	tv := j.view()
+	m.mu.Unlock()
 	if m.cfg.OnTrace != nil {
-		m.cfg.OnTrace(j.view(), tracer.Tree())
+		// The trace ring must hold the record before WaitJob or SSE can
+		// report the job finished, so deliver it first, outside m.mu.
+		tv.State = next
+		switch next {
+		case StateDone:
+			tv.Result = result
+		case StateCancelled, StateFailed:
+			tv.Error = err.Error()
+		}
+		m.cfg.OnTrace(tv, tracer.Tree())
 	}
+	m.finish(j, next, result, err)
+}
+
+// outcomeLocked decides the state a finished execution moves a job to:
+// done, cancelled on request, handed off (submitted) when a drain
+// cancelled it, or failed. Requires m.mu.
+func (m *Manager) outcomeLocked(j *job, err error) State {
+	switch {
+	case err == nil:
+		return StateDone
+	case j.cancelReq:
+		return StateCancelled
+	case m.draining && errors.Is(err, context.Canceled):
+		return StateSubmitted
+	}
+	return StateFailed
 }
 
 // progress journals a checkpointed(n) transition for a running job.
@@ -633,17 +661,17 @@ func (m *Manager) progress(j *job, done int) {
 	m.appendEventLocked(j, StateCheckpointed, done, "", now)
 }
 
-// finish journals a job's terminal transition — or, when the manager is
-// draining and the executor stopped on the drain cancellation, a
-// handoff: the job is re-marked submitted so the next process resumes
-// it from the final checkpoint its cancellation path flushed.
-func (m *Manager) finish(j *job, result json.RawMessage, err error) {
+// finish journals a job's terminal transition to next, as decided by
+// outcomeLocked — or, for a drain handoff, re-marks the job submitted so
+// the next process resumes it from the final checkpoint its
+// cancellation path flushed.
+func (m *Manager) finish(j *job, next State, result json.RawMessage, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j.cancel = nil
 	now := time.Now().UTC()
-	switch {
-	case err == nil:
+	switch next {
+	case StateDone:
 		crash("exec:before-done")
 		j.state = StateDone
 		j.result = result
@@ -654,7 +682,7 @@ func (m *Manager) finish(j *job, result json.RawMessage, err error) {
 		m.appendEventLocked(j, StateDone, j.done, "", now)
 		m.finishedDone++
 		m.removeCheckpoints(j.id)
-	case j.cancelReq:
+	case StateCancelled:
 		j.state = StateCancelled
 		j.errMsg = err.Error()
 		j.finishedAt = now
@@ -664,7 +692,7 @@ func (m *Manager) finish(j *job, result json.RawMessage, err error) {
 		m.appendEventLocked(j, StateCancelled, j.done, j.errMsg, now)
 		m.finishedCancelled++
 		m.removeCheckpoints(j.id)
-	case m.draining && errors.Is(err, context.Canceled):
+	case StateSubmitted:
 		// Drain handoff: the final checkpoint is on disk (the sweep
 		// machinery flushes on the cancellation path); hand the job to
 		// the next process instead of failing it.

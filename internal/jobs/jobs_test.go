@@ -181,8 +181,11 @@ func TestRecoveryResumesRunningJob(t *testing.T) {
 	v, _ := m1.Submit("predict", json.RawMessage(`{"n":7}`), Options{})
 	<-started
 	// Simulated crash: abandon the manager without draining (the
-	// journal file stays as the dead process left it).
-	close(block)
+	// journal file stays as the dead process left it). Its executor stays
+	// blocked until the second process is done: a dead process journals
+	// nothing more.
+	defer drain(t, m1)
+	defer close(block)
 
 	m2 := openTest(t, dir, echoExec)
 	got := waitState(t, m2, v.ID, StateDone)
@@ -353,6 +356,54 @@ func TestOnTraceDeliversSpanTree(t *testing.T) {
 		t.Fatal("OnTrace never called")
 	}
 	drain(t, m)
+}
+
+// TestOnTraceBeforeTerminalState pins the delivery order: a client that
+// sees a job finish (Get, WaitJob, SSE) must already find its trace
+// record, so OnTrace runs while the job still reads as running, with the
+// terminal state it is about to take, and not under the manager's lock.
+func TestOnTraceBeforeTerminalState(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+		want State
+	}{
+		{"done", nil, StateDone},
+		{"failed", errors.New("boom"), StateFailed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var m *Manager
+			type seen struct {
+				traced, stored State
+			}
+			got := make(chan seen, 1)
+			m = openTest(t, t.TempDir(), func(context.Context, JobView, ExecEnv) (json.RawMessage, error) {
+				return json.RawMessage(`{}`), tc.err
+			}, func(c *Config) {
+				c.OnTrace = func(v JobView, _ *obs.Tree) {
+					stored, err := m.Get(v.ID) // deadlocks if called under m.mu
+					if err != nil {
+						t.Errorf("Get: %v", err)
+					}
+					got <- seen{traced: v.State, stored: stored.State}
+				}
+			})
+			v, _ := m.Submit("predict", json.RawMessage(`{}`), Options{})
+			select {
+			case s := <-got:
+				if s.traced != tc.want {
+					t.Errorf("trace view state = %s, want %s", s.traced, tc.want)
+				}
+				if s.stored.Terminal() {
+					t.Errorf("job already %s when its trace was delivered", s.stored)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("OnTrace never called")
+			}
+			waitState(t, m, v.ID, tc.want)
+			drain(t, m)
+		})
+	}
 }
 
 func TestOpenValidation(t *testing.T) {
