@@ -6,6 +6,7 @@ import (
 
 	"hpfperf/internal/ast"
 	"hpfperf/internal/hir"
+	"hpfperf/internal/sem"
 )
 
 // runtimeError is an execution error with source line context.
@@ -152,11 +153,7 @@ func (vm *VM) evalBin(x *hir.Bin) (val, error) {
 			if bi < 0 {
 				return intV(0), nil // Fortran i**(-j) truncates to 0 for |i|>1
 			}
-			r := int64(1)
-			for k := int64(0); k < bi; k++ {
-				r *= ai
-			}
-			return intV(r), nil
+			return intV(sem.IntPow(ai, bi)), nil
 		}
 	}
 	af, bf := a.asF(), b.asF()

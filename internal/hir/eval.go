@@ -104,11 +104,7 @@ func evalBin(x *Bin, a, b sem.Value) (sem.Value, bool) {
 			if bi < 0 {
 				return sem.IntVal(0), true
 			}
-			r := int64(1)
-			for k := int64(0); k < bi; k++ {
-				r *= ai
-			}
-			return sem.IntVal(r), true
+			return sem.IntVal(sem.IntPow(ai, bi)), true
 		}
 	}
 	af, bf := a.AsFloat(), b.AsFloat()

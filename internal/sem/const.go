@@ -83,11 +83,7 @@ func evalConstBinop(op token.Kind, a, b Value, pos token.Pos) (Value, error) {
 		return RealVal(a.AsFloat() / b.AsFloat()), nil
 	case token.POW:
 		if bothInt && b.I >= 0 {
-			r := int64(1)
-			for i := int64(0); i < b.I; i++ {
-				r *= a.I
-			}
-			return IntVal(r), nil
+			return IntVal(IntPow(a.I, b.I)), nil
 		}
 		return RealVal(math.Pow(a.AsFloat(), b.AsFloat())), nil
 	case token.EQ:
@@ -182,4 +178,19 @@ func EvalConstInt(e ast.Expr, consts map[string]Value) (int, error) {
 		return 0, fmt.Errorf("%s: expected integer constant", e.Pos())
 	}
 	return int(v.I), nil
+}
+
+// IntPow returns base**exp for exp >= 0 by square-and-multiply, in
+// O(log exp) multiplications. int64 multiplication wraps modulo 2**64,
+// so the result has the same bits as exp repeated multiplications,
+// overflow included. Callers decide what a negative exponent means.
+func IntPow(base, exp int64) int64 {
+	r := int64(1)
+	for ; exp > 0; exp >>= 1 {
+		if exp&1 == 1 {
+			r *= base
+		}
+		base *= base
+	}
+	return r
 }

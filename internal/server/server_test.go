@@ -382,3 +382,42 @@ func TestConcurrencyGateBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestHugeIntegerExponentFinishesPromptly sends integer powers with
+// exponents near 1e9 to the routes that fold (PARAMETER), trace and price
+// (/v1/predict) or execute (/v1/measure) them. Square-and-multiply keeps
+// each request well under a second, where a multiplication loop held the
+// handler past its 10 ms deadline for about a second.
+func TestHugeIntegerExponentFinishesPromptly(t *testing.T) {
+	const folded = `PROGRAM POWK
+PARAMETER (K = 2**1000000000)
+!HPF$ PROCESSORS P(1)
+INTEGER I
+I = K
+PRINT *, I
+END`
+	const runtime = `PROGRAM POWJ
+!HPF$ PROCESSORS P(1)
+INTEGER I, J
+J = 1000000000
+I = 3**J
+PRINT *, I
+END`
+	_, ts := newTestServer(t, Config{})
+	for _, src := range []string{folded, runtime} {
+		for _, route := range []string{"/v1/predict", "/v1/measure"} {
+			var body any = PredictRequest{Source: src, TimeoutMS: 10}
+			if route == "/v1/measure" {
+				body = MeasureRequest{Source: src, TimeoutMS: 10}
+			}
+			start := time.Now()
+			resp, raw := post(t, ts.URL+route, body)
+			if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+				t.Errorf("%s %s took %v", route, strings.Fields(src)[1], elapsed)
+			}
+			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusGatewayTimeout {
+				t.Errorf("%s %s: status %d (%s)", route, strings.Fields(src)[1], resp.StatusCode, raw)
+			}
+		}
+	}
+}
