@@ -141,27 +141,23 @@ func (a *array) offset(idx []int) (int, error) {
 	return off, nil
 }
 
-func (a *array) get(idx []int) (val, error) {
-	off, err := a.offset(idx)
-	if err != nil {
-		return val{}, err
-	}
+// load reads the element at linear offset off as a value of the
+// array's type.
+func (a *array) load(off int) val {
 	f := a.data[off]
 	switch a.typ {
 	case ast.TInteger:
-		return intV(int64(f)), nil
+		return intV(int64(f))
 	case ast.TLogical:
-		return boolV(f != 0), nil
+		return boolV(f != 0)
 	default:
-		return floatV(f), nil
+		return floatV(f)
 	}
 }
 
-func (a *array) set(idx []int, v val) error {
-	off, err := a.offset(idx)
-	if err != nil {
-		return err
-	}
+// store converts v to the array's type and writes it at linear offset
+// off.
+func (a *array) store(off int, v val) {
 	switch a.typ {
 	case ast.TInteger:
 		a.data[off] = float64(v.asI())
@@ -174,7 +170,6 @@ func (a *array) set(idx []int, v val) error {
 	default:
 		a.data[off] = v.asF()
 	}
-	return nil
 }
 
 // elems returns the total element count.

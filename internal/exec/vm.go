@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 
-	"hpfperf/internal/ast"
 	"hpfperf/internal/dist"
 	"hpfperf/internal/faults"
 	"hpfperf/internal/hir"
@@ -47,20 +45,22 @@ type Result struct {
 	Steps int64
 }
 
-// VM executes an SPMD node program against the machine model.
+// VM is the state of one timed run: the machine clone, the program's
+// storage and the run's counters. Every mutable thing a lowered closure
+// touches belongs to exactly one VM, so concurrent runs share nothing
+// but the read-only program.
 type VM struct {
 	prog    *hir.Program
 	mach    *ipsc.Machine
-	grid    *dist.Grid
 	ctx     context.Context
+	parts   *partitions
 	arrays  map[string]*array
-	env     map[string]val
+	slots   map[string]*slot
 	costs   map[hir.Stmt]*stCost
-	coords  [][]int
 	printed []string
 	steps   int64
 	maxStep int64
-	curLine int
+	line    int // source line of the statement executing now
 }
 
 // Run compiles-in and executes the program, averaging opts.Runs timed runs.
@@ -98,20 +98,8 @@ func RunContext(ctx context.Context, prog *hir.Program, mach *ipsc.Machine, opts
 	outs := make([]runOut, opts.Runs)
 	oneRun := func(run int) {
 		m := mach.CloneForRun(run)
-		vm := &VM{prog: prog, mach: m, grid: grid, ctx: ctx, maxStep: opts.MaxSteps}
-		vm.coords = make([][]int, grid.Size())
-		for r := 0; r < grid.Size(); r++ {
-			vm.coords[r] = grid.Coords(r)
-		}
-		vm.analyzeCosts()
-		vm.arrays = make(map[string]*array)
-		for name, sym := range prog.Info.Symbols {
-			if sym.Kind == sem.SymArray {
-				vm.arrays[name] = newArray(name, sym.Type, sym.Bounds)
-			}
-		}
-		vm.env = make(map[string]val)
-		if err := vm.execStmts(prog.Body, vm.freePC()); err != nil {
+		vm := newVM(ctx, prog, m, opts.MaxSteps)
+		if err := vm.run(); err != nil {
 			outs[run] = runOut{err: err}
 			return
 		}
@@ -166,46 +154,63 @@ func maxParallel() int {
 	return n
 }
 
-// freePC returns an unconstrained partition context (one slot per grid
-// dimension, -1 = unconstrained).
-func (vm *VM) freePC() []int {
-	pc := make([]int, len(vm.grid.Shape))
-	for i := range pc {
-		pc[i] = -1
+// newVM allocates the storage of one timed run on machine m.
+func newVM(ctx context.Context, prog *hir.Program, m *ipsc.Machine, maxSteps int64) *VM {
+	vm := &VM{
+		prog:    prog,
+		mach:    m,
+		ctx:     ctx,
+		parts:   newPartitions(prog.Info.Grid),
+		arrays:  make(map[string]*array),
+		slots:   make(map[string]*slot),
+		maxStep: maxSteps,
 	}
-	return pc
-}
-
-// matches reports whether a rank satisfies the partition constraints.
-func (vm *VM) matches(pc []int, rank int) bool {
-	c := vm.coords[rank]
-	for d, want := range pc {
-		if want >= 0 && c[d] != want {
-			return false
+	for name, sym := range prog.Info.Symbols {
+		if sym.Kind == sem.SymArray {
+			vm.arrays[name] = newArray(name, sym.Type, sym.Bounds)
 		}
 	}
-	return true
+	return vm
 }
 
-// charge adds cycles to every rank matching the partition context.
-func (vm *VM) charge(pc []int, cycles float64) {
-	if cycles == 0 {
-		return
-	}
-	for r := 0; r < vm.grid.Size(); r++ {
-		if vm.matches(pc, r) {
-			vm.mach.Compute(r, cycles)
+// run lowers the program and executes it once. Runtime errors unwind the
+// lowered closures as an abort panic and come back here as the error;
+// any other panic passes through unchanged.
+func (vm *VM) run() (err error) {
+	vm.analyzeCosts()
+	body := vm.lowerBlock(vm.prog.Body)
+	defer func() {
+		if p := recover(); p != nil {
+			a, ok := p.(abort)
+			if !ok {
+				panic(p)
+			}
+			err = a.err
 		}
-	}
-}
-
-func (vm *VM) execStmts(ss []hir.Stmt, pc []int) error {
-	for _, s := range ss {
-		if err := vm.execStmt(s, pc); err != nil {
-			return err
-		}
-	}
+	}()
+	body(freePC)
 	return nil
+}
+
+// abort carries the error that ends a run out of the lowered closures.
+type abort struct{ err error }
+
+// runtimeError is an execution error with source line context.
+type runtimeError struct {
+	line int
+	msg  string
+}
+
+func (e *runtimeError) Error() string {
+	if e.line > 0 {
+		return fmt.Sprintf("runtime error at line %d: %s", e.line, e.msg)
+	}
+	return "runtime error: " + e.msg
+}
+
+// fail aborts the run with a runtime error at the current line.
+func (vm *VM) fail(format string, args ...any) {
+	panic(abort{&runtimeError{line: vm.line, msg: fmt.Sprintf(format, args...)}})
 }
 
 // ctxCheckSteps is how many executed statements may pass between
@@ -213,410 +218,110 @@ func (vm *VM) execStmts(ss []hir.Stmt, pc []int) error {
 // cancellation latency well below a millisecond.
 const ctxCheckSteps = 1024
 
-func (vm *VM) tick() error {
+// enter starts the execution of the statement at line: it becomes the
+// line runtime errors name, and it counts as one step.
+func (vm *VM) enter(line int) {
+	vm.line = line
+	vm.tick()
+}
+
+// tick counts one executed step (a statement or a loop iteration).
+func (vm *VM) tick() {
 	vm.steps++
+	if vm.steps > vm.maxStep || vm.steps%ctxCheckSteps == 0 {
+		vm.poll()
+	}
+}
+
+// poll enforces the step budget and, every ctxCheckSteps steps, checks
+// for cancellation.
+func (vm *VM) poll() {
 	if vm.steps > vm.maxStep {
-		return vm.rtErrf("execution exceeded %d statements (runaway loop?)", vm.maxStep)
+		vm.fail("execution exceeded %d statements (runaway loop?)", vm.maxStep)
 	}
-	if vm.steps%ctxCheckSteps == 0 {
-		if err := vm.ctx.Err(); err != nil {
-			return err
-		}
-		// Chaos hook: shares the stride so the statement loop stays at
-		// one modulo per statement when chaos is off.
-		if err := faults.Fire(faults.SiteExec); err != nil {
-			return err
-		}
+	if err := vm.ctx.Err(); err != nil {
+		panic(abort{err})
 	}
-	return nil
-}
-
-func (vm *VM) execStmt(s hir.Stmt, pc []int) error {
-	vm.curLine = s.Line()
-	if err := vm.tick(); err != nil {
-		return err
-	}
-	switch x := s.(type) {
-	case *hir.Assign:
-		return vm.execAssign(x, pc)
-	case *hir.Loop:
-		return vm.execLoop(x, pc)
-	case *hir.While:
-		return vm.execWhile(x, pc)
-	case *hir.If:
-		cost := vm.costs[s]
-		vm.charge(pc, cost.cycles)
-		cond, err := vm.eval(x.Cond)
-		if err != nil {
-			return err
-		}
-		if cond.asB() {
-			return vm.execStmts(x.Then, pc)
-		}
-		return vm.execStmts(x.Else, pc)
-	case *hir.Reduce:
-		return vm.execReduce(x)
-	case *hir.Shift:
-		return vm.execShift(x)
-	case *hir.AllGather:
-		return vm.execAllGather(x)
-	case *hir.CShift:
-		return vm.execCShift(s, x.Dst, x.Src, x.Dim, x.Shift, nil, true)
-	case *hir.EOShift:
-		return vm.execCShift(s, x.Dst, x.Src, x.Dim, x.Shift, x.Boundary, false)
-	case *hir.FetchElem:
-		return vm.execFetch(x, pc)
-	case *hir.Print:
-		return vm.execPrint(x, pc)
-	}
-	return vm.rtErrf("unsupported statement %T", s)
-}
-
-func (vm *VM) execAssign(x *hir.Assign, pc []int) error {
-	cost := vm.costs[x]
-	rhs, err := vm.eval(x.Rhs)
-	if err != nil {
-		return err
-	}
-	switch lhs := x.Lhs.(type) {
-	case *hir.ScalarLV:
-		vm.env[lhs.Name] = convertTo(rhs, lhs.Typ)
-		vm.charge(pc, cost.cycles)
-	case *hir.ElemLV:
-		a, ok := vm.arrays[lhs.Array]
-		if !ok {
-			return vm.rtErrf("array %s has no storage", lhs.Array)
-		}
-		idx, err := vm.evalSubs(lhs.Subs)
-		if err != nil {
-			return err
-		}
-		if err := a.set(idx, rhs); err != nil {
-			return vm.rtErrf("%v", err)
-		}
-		if x.Guard {
-			vm.charge(pc, cost.guardCycles)
-			m := vm.prog.Info.ArrayMap(lhs.Array)
-			for r := 0; r < vm.grid.Size(); r++ {
-				if vm.matches(pc, r) && m.Owns(r, idx) {
-					vm.mach.Compute(r, cost.cycles)
-				}
-			}
-		} else {
-			vm.charge(pc, cost.cycles)
-		}
-	}
-	return nil
-}
-
-func (vm *VM) execLoop(x *hir.Loop, pc []int) error {
-	cost := vm.costs[x]
-	vm.charge(pc, cost.cycles)
-	lo, err := vm.eval(x.Lo)
-	if err != nil {
-		return err
-	}
-	hi, err := vm.eval(x.Hi)
-	if err != nil {
-		return err
-	}
-	step, err := vm.eval(x.Step)
-	if err != nil {
-		return err
-	}
-	l, h, st := lo.asI(), hi.asI(), step.asI()
-	if st == 0 {
-		return vm.rtErrf("loop %s has zero step", x.Var)
-	}
-	P := vm.mach.Node().P
-	if x.Par == nil {
-		for i := l; (st > 0 && i <= h) || (st < 0 && i >= h); i += st {
-			if err := vm.tick(); err != nil {
-				return err
-			}
-			vm.env[x.Var] = intV(i)
-			vm.charge(pc, P.LoopOverheadCycles)
-			if err := vm.execStmts(x.Body, pc); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	m := vm.prog.Info.ArrayMap(x.Par.Array)
-	if m == nil {
-		return vm.rtErrf("partitioned loop references unmapped array %s", x.Par.Array)
-	}
-	dd := m.Dims[x.Par.Dim]
-	pd := dd.ProcDim
-	inner := append([]int(nil), pc...)
-	for i := l; (st > 0 && i <= h) || (st < 0 && i >= h); i += st {
-		if err := vm.tick(); err != nil {
-			return err
-		}
-		g := int(i) + x.Par.Offset
-		if g < dd.Lo || g > dd.Hi {
-			return vm.rtErrf("partitioned index %d outside dimension [%d,%d] of %s", g, dd.Lo, dd.Hi, x.Par.Array)
-		}
-		inner[pd] = dd.Owner(g)
-		vm.env[x.Var] = intV(i)
-		vm.charge(inner, P.LoopOverheadCycles)
-		if err := vm.execStmts(x.Body, inner); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (vm *VM) execWhile(x *hir.While, pc []int) error {
-	cost := vm.costs[x]
-	for iter := 0; ; iter++ {
-		if iter > 100_000_000 {
-			return vm.rtErrf("DO WHILE exceeded 1e8 iterations")
-		}
-		if err := vm.tick(); err != nil {
-			return err
-		}
-		vm.charge(pc, cost.cycles)
-		cond, err := vm.eval(x.Cond)
-		if err != nil {
-			return err
-		}
-		if !cond.asB() {
-			return nil
-		}
-		if err := vm.execStmts(x.Body, pc); err != nil {
-			return err
-		}
+	// Chaos hook: shares the stride so the statement loop stays at one
+	// modulo per statement when chaos is off.
+	if err := faults.Fire(faults.SiteExec); err != nil {
+		panic(abort{err})
 	}
 }
 
-func (vm *VM) execReduce(x *hir.Reduce) error {
-	src, ok := vm.env[x.Src]
-	if !ok {
-		src = convertTo(val{}, x.Typ)
+// charge adds cycles to every rank selected by partition context pc, in
+// ascending rank order.
+func (vm *VM) charge(pc int, cycles float64) {
+	if cycles == 0 {
+		return
 	}
-	vm.env[x.Dst] = convertTo(src, x.Typ)
-	bytes := 8
-	if x.LocSrc != "" {
-		loc := vm.env[x.LocSrc]
-		vm.env[x.LocDst] = convertTo(loc, ast.TInteger)
-		bytes = 16
+	for _, r := range vm.parts.ranksOf(pc) {
+		vm.mach.Compute(r, cycles)
 	}
-	vm.mach.AllReduce(bytes)
-	vm.charge(vm.freePC(), vm.costs[x].cycles)
-	return nil
 }
 
-// stripBytes computes the per-rank halo volume of a shift of array m along
-// dimension dim by delta: the number of boundary elements exchanged with
-// the neighbour, times the local extent of every other dimension.
-func (vm *VM) stripBytes(m *dist.ArrayMap, elemBytes, dim, delta, rank int) int {
-	if delta < 0 {
-		delta = -delta
-	}
-	shape := m.LocalShape(rank)
-	dd := m.Dims[dim]
-	rows := delta
-	switch dd.Kind {
-	case dist.Block:
-		if rows > dd.BlockSize() {
-			rows = dd.BlockSize()
-		}
-	case dist.Cyclic:
-		rows = dist.CyclicShiftRows(shape[dim], dd.BlockSize(), delta)
-	}
-	vol := rows
-	for d, e := range shape {
-		if d != dim {
-			vol *= e
-		}
-	}
-	return vol * elemBytes
+// freePC is the unconstrained partition context: every rank executes.
+const freePC = 0
+
+// partitions numbers the partition contexts of a processor grid. A
+// context constrains each grid dimension to one coordinate or leaves it
+// free. It is encoded in mixed radix with one digit per grid dimension,
+// coordinate+1 or 0 for free, so context 0 (freePC) selects every rank
+// and a partitioned loop rewrites one digit per iteration. The ranks a
+// context selects are listed, ascending, on first use.
+type partitions struct {
+	shape  []int
+	radix  []int
+	coords [][]int // grid coordinates of every rank
+	ranks  [][]int // selected ranks per context; nil until first use
 }
 
-func (vm *VM) execShift(x *hir.Shift) error {
-	sym := vm.prog.Info.Sym(x.Array)
-	m := sym.Map
-	dd := m.Dims[x.Dim]
-	pd := dd.ProcDim
-	if pd < 0 || dd.NProc == 1 {
-		return nil
+func newPartitions(g *dist.Grid) *partitions {
+	p := &partitions{shape: g.Shape, radix: make([]int, len(g.Shape)), coords: make([][]int, g.Size())}
+	n := 1
+	for d, e := range g.Shape {
+		p.radix[d] = n
+		n *= e + 1
 	}
-	dir := 1
-	if x.Offset < 0 {
-		dir = -1
+	p.ranks = make([][]int, n)
+	for r := range p.coords {
+		p.coords[r] = g.Coords(r)
 	}
-	vm.mach.ShiftExchange(
-		func(rank int) int { return vm.stripBytes(m, sym.Type.Bytes(), x.Dim, x.Offset, rank) },
-		func(rank int) int {
-			c := append([]int(nil), vm.coords[rank]...)
-			c[pd] += dir
-			if c[pd] < 0 || c[pd] >= vm.grid.Shape[pd] {
-				return -1 // boundary: no wraparound for halo shifts
-			}
-			return vm.grid.Rank(c)
-		},
-	)
-	return nil
+	return p
 }
 
-func (vm *VM) execAllGather(x *hir.AllGather) error {
-	sym := vm.prog.Info.Sym(x.Array)
-	m := sym.Map
-	vm.mach.AllGatherV(func(rank int) int {
-		return m.LocalCount(rank) * sym.Type.Bytes()
-	})
-	return nil
+// with returns context pc with grid dimension d constrained to
+// coordinate c.
+func (p *partitions) with(pc, d, c int) int {
+	rad := p.radix[d]
+	return pc + (c+1-pc/rad%(p.shape[d]+1))*rad
 }
 
-// execCShift implements CSHIFT (circular=true) and EOSHIFT/TSHIFT
-// functionally and charges the exchange plus the local copy.
-func (vm *VM) execCShift(stmt hir.Stmt, dstName, srcName string, dim int, shiftE, boundary hir.Expr, circular bool) error {
-	dst, ok := vm.arrays[dstName]
-	if !ok {
-		return vm.rtErrf("array %s has no storage", dstName)
+// ranksOf lists the ranks context pc selects, in ascending order.
+func (p *partitions) ranksOf(pc int) []int {
+	rs := p.ranks[pc]
+	if rs == nil {
+		rs = p.list(pc)
 	}
-	src, ok := vm.arrays[srcName]
-	if !ok {
-		return vm.rtErrf("array %s has no storage", srcName)
-	}
-	sv, err := vm.eval(shiftE)
-	if err != nil {
-		return err
-	}
-	shift := int(sv.asI())
-	bval := 0.0
-	if boundary != nil {
-		bv, err := vm.eval(boundary)
-		if err != nil {
-			return err
-		}
-		bval = bv.asF()
-	}
-	// Functional copy: dst(..., i, ...) = src(..., i+shift, ...) with
-	// circular wraparound or boundary fill.
-	b := src.bounds[dim]
-	n := b[1] - b[0] + 1
-	idx := make([]int, len(src.bounds))
-	for d := range idx {
-		idx[d] = src.bounds[d][0]
-	}
-	total := src.elems()
-	srcIdx := make([]int, len(idx))
-	for k := 0; k < total; k++ {
-		copy(srcIdx, idx)
-		j := idx[dim] - b[0] + shift
-		inRange := true
-		if circular {
-			j = ((j % n) + n) % n
-		} else if j < 0 || j >= n {
-			inRange = false
-		}
-		var v float64
-		if inRange {
-			srcIdx[dim] = b[0] + j
-			off, err := src.offset(srcIdx)
-			if err != nil {
-				return vm.rtErrf("%v", err)
-			}
-			v = src.data[off]
-		} else {
-			v = bval
-		}
-		off, err := dst.offset(idx)
-		if err != nil {
-			return vm.rtErrf("%v", err)
-		}
-		dst.data[off] = v
-		// Advance the index vector (column-major order).
-		for d := 0; d < len(idx); d++ {
-			idx[d]++
-			if idx[d] <= src.bounds[d][1] {
-				break
-			}
-			idx[d] = src.bounds[d][0]
-		}
-	}
-
-	// Timing: boundary exchange with the neighbour in the shift direction
-	// plus the local data movement.
-	sym := vm.prog.Info.Sym(srcName)
-	m := sym.Map
-	if m != nil && !m.Replicated && dim < len(m.Dims) && m.Dims[dim].ProcDim >= 0 && m.Dims[dim].NProc > 1 {
-		pd := m.Dims[dim].ProcDim
-		dir := 1
-		if shift < 0 {
-			dir = -1
-		}
-		vm.mach.ShiftExchange(
-			func(rank int) int { return vm.stripBytes(m, sym.Type.Bytes(), dim, shift, rank) },
-			func(rank int) int {
-				c := append([]int(nil), vm.coords[rank]...)
-				c[pd] += dir
-				if circular {
-					c[pd] = ((c[pd] % vm.grid.Shape[pd]) + vm.grid.Shape[pd]) % vm.grid.Shape[pd]
-				} else if c[pd] < 0 || c[pd] >= vm.grid.Shape[pd] {
-					return -1
-				}
-				r := vm.grid.Rank(c)
-				if r == rank {
-					return -1
-				}
-				return r
-			},
-		)
-	}
-	M := vm.mach.Node().M
-	copyCycles := M.LoadCycles + M.StoreCycles + 2
-	for r := 0; r < vm.grid.Size(); r++ {
-		local := src.elems()
-		if m != nil && !m.Replicated {
-			local = m.LocalCount(r)
-		}
-		vm.mach.Compute(r, float64(local)*copyCycles)
-	}
-	vm.charge(vm.freePC(), vm.costs[stmt].cycles)
-	return nil
+	return rs
 }
 
-func (vm *VM) execFetch(x *hir.FetchElem, pc []int) error {
-	a, ok := vm.arrays[x.Array]
-	if !ok {
-		return vm.rtErrf("array %s has no storage", x.Array)
+func (p *partitions) list(pc int) []int {
+	rs := []int{}
+	for r, c := range p.coords {
+		if p.selects(pc, c) {
+			rs = append(rs, r)
+		}
 	}
-	idx, err := vm.evalSubs(x.Subs)
-	if err != nil {
-		return err
-	}
-	v, err := a.get(idx)
-	if err != nil {
-		return vm.rtErrf("%v", err)
-	}
-	vm.env[x.Dst] = convertTo(v, x.Typ)
-	m := vm.prog.Info.ArrayMap(x.Array)
-	owner := 0
-	if m != nil {
-		owner = m.PrimaryOwner(idx)
-	}
-	vm.mach.FetchBroadcast(owner, x.Typ.Bytes())
-	vm.charge(pc, vm.costs[x].cycles)
-	return nil
+	p.ranks[pc] = rs
+	return rs
 }
 
-func (vm *VM) execPrint(x *hir.Print, pc []int) error {
-	var parts []string
-	for _, a := range x.Args {
-		if c, ok := a.(*hir.Const); ok && c.Val.Type == ast.TCharacter {
-			continue
+func (p *partitions) selects(pc int, coords []int) bool {
+	for d, rad := range p.radix {
+		if want := pc/rad%(p.shape[d]+1) - 1; want >= 0 && coords[d] != want {
+			return false
 		}
-		v, err := vm.eval(a)
-		if err != nil {
-			return err
-		}
-		parts = append(parts, v.String())
 	}
-	vm.printed = append(vm.printed, strings.Join(parts, " "))
-	vm.charge(pc, vm.costs[x].cycles)
-	vm.mach.HostIO(16 * len(x.Args))
-	return nil
+	return true
 }
