@@ -4,8 +4,8 @@
 // request before interpretation (internal/server/admission.go). Its
 // whole value proposition is that pricing is cheap relative to the
 // work it gates, so TestEmitBenchPR8 (HPFPERF_EMIT_BENCH) records the
-// /v1/predict p50 with and without an admitting gate next to the sweep
-// throughput, and TestCheckBenchPR8 (HPFPERF_CHECK_BENCH) fails when
+// /v1/predict p50 with and without an admitting gate, and
+// TestCheckBenchPR8 (HPFPERF_CHECK_BENCH) fails when
 // the gate costs more than 2% on the p50 — the CI bench job's gate.
 // Samples against the two servers are interleaved so host drift
 // affects both sides equally.
@@ -28,10 +28,9 @@ const benchPR8File = "BENCH_PR8.json"
 
 // admissionBenchRecord is one row of BENCH_PR8.json.
 type admissionBenchRecord struct {
-	Name         string  `json:"name"`
-	P50US        float64 `json:"p50_us,omitempty"`
-	PointsPerSec float64 `json:"points_per_sec,omitempty"`
-	OverheadPct  float64 `json:"overhead_pct,omitempty"`
+	Name        string  `json:"name"`
+	P50US       float64 `json:"p50_us,omitempty"`
+	OverheadPct float64 `json:"overhead_pct,omitempty"`
 }
 
 // admissionBenchSource is the predict workload: a 64x64 Laplace sweep,
@@ -109,19 +108,16 @@ func overheadPct(ungatedUS, gatedUS float64) float64 {
 	return (gatedUS - ungatedUS) / ungatedUS * 100
 }
 
-// TestEmitBenchPR8 writes the admission-overhead snapshot (plus the
-// sweep throughput for context) to BENCH_PR8.json when
-// HPFPERF_EMIT_BENCH is set.
+// TestEmitBenchPR8 writes the admission-overhead snapshot to
+// BENCH_PR8.json when HPFPERF_EMIT_BENCH is set.
 func TestEmitBenchPR8(t *testing.T) {
 	if os.Getenv("HPFPERF_EMIT_BENCH") == "" {
 		t.Skip("set HPFPERF_EMIT_BENCH=1 to emit " + benchPR8File)
 	}
 	ungated, gated := measureAdmissionOverhead(t, 150)
-	sweep := sweepCachedRecord(t)
 	records := []admissionBenchRecord{
 		{Name: "PredictP50Ungated", P50US: ungated},
 		{Name: "PredictP50Gated", P50US: gated, OverheadPct: overheadPct(ungated, gated)},
-		{Name: sweep.Name, PointsPerSec: sweep.PointsPerSec},
 	}
 	f, err := os.Create(benchPR8File)
 	if err != nil {
@@ -134,7 +130,7 @@ func TestEmitBenchPR8(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range records {
-		t.Logf("%s: p50 %.0fus, overhead %.2f%%, %.1f points/sec", r.Name, r.P50US, r.OverheadPct, r.PointsPerSec)
+		t.Logf("%s: p50 %.0fus, overhead %.2f%%", r.Name, r.P50US, r.OverheadPct)
 	}
 }
 

@@ -73,9 +73,7 @@ func BenchmarkSweepParallel(b *testing.B) { benchSweepGrid(b, 0) }
 // BenchmarkSweepCached reruns the grid against a warm engine: every
 // compile, interpretation and (since the simulator is deterministic per
 // MeasureSpec) simulated execution is served from cache. The points/sec
-// metric here includes the untimed warmup in the engine's wall clock;
-// BENCH_PR6.json carries the steady-state rate measured after a stats
-// reset.
+// metric here includes the untimed warmup in the engine's wall clock.
 func BenchmarkSweepCached(b *testing.B) {
 	cfg := benchCfg()
 	cfg.Engine = sweep.New(sweep.Options{})
