@@ -79,59 +79,52 @@ func (vm *VM) lowerAssign(x *hir.Assign) stmtFn {
 	line, cost := x.SrcLine, vm.costs[x]
 	cycles := cost.cycles
 	rhs := vm.lowerExpr(x.Rhs)
-	switch lhs := x.Lhs.(type) {
-	case *hir.ScalarLV:
+	if lhs, ok := x.Lhs.(*hir.ScalarLV); ok {
 		s, typ := vm.slot(lhs.Name), lhs.Typ
 		return func(pc int) {
 			vm.enter(line)
 			s.store(convertTo(rhs(), typ))
 			vm.charge(pc, cycles)
 		}
-	case *hir.ElemLV:
-		a := vm.arrays[lhs.Array]
-		if a == nil {
-			return func(int) {
-				vm.enter(line)
-				rhs()
-				vm.fail("array %s has no storage", lhs.Array)
-			}
+	}
+	lhs := x.Lhs.(*hir.ElemLV)
+	a := vm.arrays[lhs.Array]
+	if a == nil {
+		return func(int) {
+			vm.enter(line)
+			rhs()
+			vm.fail("array %s has no storage", lhs.Array)
 		}
-		if !x.Guard {
-			at := vm.lowerOffset(a, lhs.Subs)
-			return func(pc int) {
-				vm.enter(line)
-				v := rhs()
-				a.store(at(), v)
-				vm.charge(pc, cycles)
-			}
-		}
-		// Outside partitioned loops only the owners store: every rank
-		// reaching the statement pays the ownership test, then the
-		// owners pay the store.
-		subs, guard := vm.lowerSubs(lhs.Subs), cost.guardCycles
-		m := vm.prog.Info.ArrayMap(lhs.Array)
+	}
+	if !x.Guard {
+		at := vm.lowerOffset(a, lhs.Subs)
 		return func(pc int) {
 			vm.enter(line)
 			v := rhs()
-			idx := subs()
-			off, err := a.offset(idx)
-			if err != nil {
-				vm.fail("%v", err)
-			}
-			a.store(off, v)
-			vm.charge(pc, guard)
-			for _, r := range vm.parts.ranksOf(pc) {
-				if m.OwnsCoords(vm.parts.coords[r], idx) {
-					vm.mach.Compute(r, cycles)
-				}
-			}
+			a.store(at(), v)
+			vm.charge(pc, cycles)
 		}
 	}
-	// An assignment to neither kind of destination evaluates and charges
-	// nothing beyond its right-hand side.
-	return func(int) {
+	// Outside partitioned loops only the owners store: every rank
+	// reaching the statement pays the ownership test, then the owners
+	// pay the store.
+	subs, guard := vm.lowerSubs(lhs.Subs), cost.guardCycles
+	m := vm.prog.Info.ArrayMap(lhs.Array)
+	return func(pc int) {
 		vm.enter(line)
-		rhs()
+		v := rhs()
+		idx := subs()
+		off, err := a.offset(idx)
+		if err != nil {
+			vm.fail("%v", err)
+		}
+		a.store(off, v)
+		vm.charge(pc, guard)
+		for _, r := range vm.parts.ranksOf(pc) {
+			if m.OwnsCoords(vm.parts.coords[r], idx) {
+				vm.mach.Compute(r, cycles)
+			}
+		}
 	}
 }
 

@@ -299,29 +299,19 @@ func (p *partitions) with(pc, d, c int) int {
 
 // ranksOf lists the ranks context pc selects, in ascending order.
 func (p *partitions) ranksOf(pc int) []int {
-	rs := p.ranks[pc]
-	if rs == nil {
-		rs = p.list(pc)
+	if rs := p.ranks[pc]; rs != nil {
+		return rs
 	}
-	return rs
-}
-
-func (p *partitions) list(pc int) []int {
 	rs := []int{}
+ranks:
 	for r, c := range p.coords {
-		if p.selects(pc, c) {
-			rs = append(rs, r)
+		for d, rad := range p.radix {
+			if want := pc/rad%(p.shape[d]+1) - 1; want >= 0 && c[d] != want {
+				continue ranks
+			}
 		}
+		rs = append(rs, r)
 	}
 	p.ranks[pc] = rs
 	return rs
-}
-
-func (p *partitions) selects(pc int, coords []int) bool {
-	for d, rad := range p.radix {
-		if want := pc/rad%(p.shape[d]+1) - 1; want >= 0 && coords[d] != want {
-			return false
-		}
-	}
-	return true
 }
