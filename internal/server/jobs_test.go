@@ -360,3 +360,33 @@ func TestShutdownHandsOffRunningJob(t *testing.T) {
 	defer cancel2()
 	_ = s2.Jobs().Drain(ctx2)
 }
+
+// TestFailedJobTraceRecordedFirst pins the trace record of a failed job:
+// once the job reads as failed, the ring already holds its record, with
+// status 500.
+func TestFailedJobTraceRecordedFirst(t *testing.T) {
+	s, base := newJobsServer(t, Config{}, jobs.Config{})
+	resp, body := post(t, base+"/v1/jobs", JobSubmitRequest{
+		Kind:    JobKindPredict,
+		Predict: &PredictRequest{Source: "PROGRAM BROKEN\nX = (\nEND"},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit status = %d: %s", resp.StatusCode, body)
+	}
+	var sub JobSubmitResponse
+	if err := json.Unmarshal(body, &sub); err != nil {
+		t.Fatalf("decode submit: %v", err)
+	}
+	if v := pollJob(t, base, sub.Job.ID); v.State != jobs.StateFailed {
+		t.Fatalf("state = %s, want failed", v.State)
+	}
+	for _, rec := range s.ring.Snapshot() {
+		if rec.Route == "jobs:"+JobKindPredict {
+			if rec.Status != http.StatusInternalServerError {
+				t.Errorf("failed job's trace status = %d, want 500", rec.Status)
+			}
+			return
+		}
+	}
+	t.Fatal("job failed before its trace record reached the ring")
+}
