@@ -222,7 +222,7 @@ func (vm *VM) lowerBin(x *hir.Bin) exprFn {
 // compare orders two values: as integers when both are integers, else
 // as floats, where a NaN compares equal to everything.
 func compare(a, b val) int {
-	if a.isInt && b.isInt {
+	if a.isInt() && b.isInt() {
 		switch {
 		case a.i < b.i:
 			return -1
@@ -267,7 +267,7 @@ func (vm *VM) intrinsic(name string) func(args []val) val {
 	switch name {
 	case "ABS":
 		return func(args []val) val {
-			if args[0].isInt {
+			if args[0].isInt() {
 				v := args[0].asI()
 				if v < 0 {
 					v = -v
@@ -292,7 +292,7 @@ func (vm *VM) intrinsic(name string) func(args []val) val {
 		return f1(math.Atan)
 	case "MOD":
 		return func(args []val) val {
-			if args[0].isInt && args[1].isInt {
+			if args[0].isInt() && args[1].isInt() {
 				if args[1].asI() == 0 {
 					vm.fail("MOD by zero")
 				}

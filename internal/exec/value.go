@@ -18,63 +18,63 @@ import (
 	"hpfperf/internal/sem"
 )
 
-// val is a runtime scalar value.
+// val is a runtime scalar value: a float, an integer, or a logical
+// held in i as 0 or 1.
 type val struct {
-	isInt  bool
-	isBool bool
-	f      float64
-	i      int64
-	b      bool
+	kind valKind
+	i    int64
+	f    float64
 }
 
-func intV(i int64) val     { return val{isInt: true, i: i} }
+type valKind uint8
+
+const (
+	kFloat valKind = iota
+	kInt
+	kBool
+)
+
+func intV(i int64) val     { return val{kind: kInt, i: i} }
 func floatV(f float64) val { return val{f: f} }
-func boolV(b bool) val     { return val{isBool: true, b: b} }
+func boolV(b bool) val {
+	if b {
+		return val{kind: kBool, i: 1}
+	}
+	return val{kind: kBool}
+}
+
+func (v val) isInt() bool { return v.kind == kInt }
 
 func (v val) asF() float64 {
-	if v.isInt {
+	switch v.kind {
+	case kInt, kBool:
 		return float64(v.i)
-	}
-	if v.isBool {
-		if v.b {
-			return 1
-		}
-		return 0
 	}
 	return v.f
 }
 
 func (v val) asI() int64 {
-	if v.isInt {
-		return v.i
+	if v.kind == kFloat {
+		return int64(v.f)
 	}
-	if v.isBool {
-		if v.b {
-			return 1
-		}
-		return 0
-	}
-	return int64(v.f)
+	return v.i
 }
 
 func (v val) asB() bool {
-	if v.isBool {
-		return v.b
+	if v.kind == kFloat {
+		return v.f != 0
 	}
-	if v.isInt {
-		return v.i != 0
-	}
-	return v.f != 0
+	return v.i != 0
 }
 
 func (v val) String() string {
-	switch {
-	case v.isBool:
-		if v.b {
+	switch v.kind {
+	case kBool:
+		if v.i != 0 {
 			return "T"
 		}
 		return "F"
-	case v.isInt:
+	case kInt:
 		return fmt.Sprint(v.i)
 	default:
 		return fmt.Sprintf("%g", v.f)
