@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hpfperf/internal/compiler"
+	"hpfperf/internal/hir"
 	"hpfperf/internal/ipsc"
 )
 
@@ -543,4 +544,33 @@ func TestParallelRunsMatchSequential(t *testing.T) {
 			t.Fatalf("run %d differs: parallel %g vs sequential %g", i, par.RunsUS[i], seq.RunsUS[i])
 		}
 	}
+}
+
+// TestInternalPanicsPassThrough pins the error contract of the lowered
+// closures: runtime errors come back as errors, while a panic that is not
+// a runtime error (here an out-of-range partitioning dimension) reaches
+// the caller unchanged, for the sweep layer to report.
+func TestInternalPanicsPassThrough(t *testing.T) {
+	prog, err := compiler.Compile(sumHdr + "FORALL (K=1:N) A(K) = REAL(K)\nEND")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loop *hir.Loop
+	for _, s := range prog.Body {
+		if l, ok := s.(*hir.Loop); ok && l.Par != nil {
+			loop = l
+		}
+	}
+	if loop == nil {
+		t.Fatal("no partitioned loop in the compiled program")
+	}
+	loop.Par = &hir.ParSpec{Array: loop.Par.Array, Dim: 7, Offset: loop.Par.Offset}
+	m, _ := ipsc.New(ipsc.DefaultConfig(4))
+	defer func() {
+		if recover() == nil {
+			t.Error("an internal panic was swallowed")
+		}
+	}()
+	_, err = Run(prog, m, Options{})
+	t.Errorf("Run returned (%v) instead of panicking", err)
 }
