@@ -278,8 +278,8 @@ func (pr *Prediction) AAU(id int) string { return report.AAUQuery(pr.rep, id) }
 // each evaluation runs those thunks instead of re-dispatching on the
 // statement tree. Build it once per program, then evaluate repeatedly
 // (and concurrently) with varying critical-variable values and trip
-// counts — unchanged cost subtrees are served from the form's internal
-// memo, which is what makes parameter sweeps incremental.
+// counts; a parameter sweep pays the lowering once, not per point. It is
+// the same engine Predict runs.
 type CompiledPrediction struct {
 	cp *core.Compiled
 }
@@ -323,9 +323,10 @@ func (cp *CompiledPrediction) Evaluate() (*Prediction, error) {
 	return &Prediction{rep: rep}, nil
 }
 
-// EvaluateWith re-evaluates the prediction under new critical-variable
-// values and trip counts (both may be nil), reusing memoized subtree
-// costs whose resolved inputs are unchanged.
+// EvaluateWith evaluates the prediction under new critical-variable
+// values and trip counts (both may be nil) instead of the ones bound at
+// compile time. Every call runs the whole form; the result is
+// byte-identical to Predict with the same options.
 func (cp *CompiledPrediction) EvaluateWith(intValues map[string]int64, tripCounts map[int]int) (*Prediction, error) {
 	return cp.EvaluateWithContext(context.Background(), intValues, tripCounts)
 }

@@ -10,23 +10,20 @@
 //
 // Evaluation is bit-identical to the tree walker by construction: every
 // floating-point accumulation the walker performs (per-AAU add order,
-// clock advance, by-line accumulation) is replayed in exactly the same
+// clock advance, by-line accumulation) is performed in exactly the same
 // sequence, and the differential suite in equiv_test.go enforces it.
 //
-// Incremental re-evaluation: EvaluateWith memoizes each top-level
-// subtree under a key formed from the resolved critical-variable values
-// that feed it (entry values of its scalar read set, pinned-ness of its
-// write set, trip-count overrides and traced bounds of its loops). When
-// only inputs that feed other subtrees change between sweep points, the
-// untouched subtrees replay a recorded op log — the same adds in the
-// same order — rather than re-evaluating their closures.
+// This is the engine that serves every prediction, traced or not. When
+// the evaluation context carries an obs span, each AAU's evaluation is
+// wrapped in an interp.<kind> child span; the span is read per
+// evaluation, never at compile time, because compiled forms are cached
+// and shared between requests.
 package core
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -36,24 +33,18 @@ import (
 	"hpfperf/internal/faults"
 	"hpfperf/internal/hir"
 	"hpfperf/internal/ipsc"
+	"hpfperf/internal/obs"
 	"hpfperf/internal/sem"
 	"hpfperf/internal/sysmodel"
 )
 
-// treeWalkOnly forces the reference tree-walking interpreter for every
-// Interpret call (the differential-testing escape hatch).
-var treeWalkOnly = os.Getenv("HPFPERF_TREEWALK") == "1"
-
-// memoCap bounds the number of memoized subtree evaluations kept per
-// compiled program; traceCap bounds memoized definition-tracing runs.
-const (
-	memoCap  = 4096
-	traceCap = 64
-)
+// traceCap bounds the memoized definition-tracing runs kept per compiled
+// program.
+const traceCap = 64
 
 // Compiled is the closure-compiled form of one (program, machine, static
 // options) triple. It is immutable after compilation apart from its
-// internal memo tables and safe for concurrent Evaluate/EvaluateWith.
+// internal tracing memo and safe for concurrent Evaluate/EvaluateWith.
 type Compiled struct {
 	prog  *hir.Program
 	mach  *sysmodel.Machine
@@ -64,11 +55,9 @@ type Compiled struct {
 	tmpl  *SAAG // metric-free template, cloned per evaluation
 	maxID int
 	tops  []cnode
-	meta  []topMeta
 
 	mu     sync.Mutex
 	traces map[string]*analysis.Trace
-	memo   map[string]*memoEntry
 }
 
 // cnode is one compiled AAU: a cost thunk plus the identifiers needed to
@@ -76,50 +65,15 @@ type Compiled struct {
 type cnode struct {
 	id   int
 	line int
+	span string // interp.<kind>, the AAU's span name when traced
 	fn   func(st *evalState, mult float64) (Metrics, error)
-}
-
-// topMeta is the memoization interface of one top-level subtree: the
-// dynamic inputs that can change its evaluation between points.
-type topMeta struct {
-	reads  []string // scalar names the subtree may read from the env
-	writes []string // scalar names it may kill or assign (pin-sensitive)
-	lines  []int    // loop/while lines consulting Options.TripCounts
-	loops  []*hir.Loop
-	whiles []*hir.While
-}
-
-// memoOp is one replayable side effect of a subtree evaluation.
-type memoOp struct {
-	kind uint8
-	id   int // AAU ID (add/clock) or comm-table index (comm)
-	line int
-	m    Metrics // scaled metrics for add; (bytes, cost, count) for comm
-	s    string  // warning text / env name
-	v    sem.Value
-}
-
-const (
-	mopAdd uint8 = iota
-	mopClock
-	mopComm
-	mopWarn
-	mopEnvSet
-	mopEnvDel
-)
-
-// memoEntry is a recorded subtree evaluation: its op log and the metrics
-// the subtree returned.
-type memoEntry struct {
-	ops   []memoOp
-	total Metrics
 }
 
 // evalState is the per-evaluation mutable state — the compiled
 // counterpart of the Interpreter's byLine/warnings/clock/env fields.
 type evalState struct {
-	c      *Compiled
 	ctx    context.Context
+	span   *obs.Span // current parent span; nil when untraced
 	env    absEnv
 	pinned map[string]bool
 	trips  map[int]int
@@ -131,8 +85,6 @@ type evalState struct {
 	warnings []string
 	clock    float64
 	stride   int
-
-	rec *[]memoOp // non-nil while recording a memoizable subtree
 }
 
 // ---------------------------------------------------------------------------
@@ -148,20 +100,22 @@ func CompilePrediction(ctx context.Context, prog *hir.Program, mach *sysmodel.Ma
 	if err != nil {
 		return nil, err
 	}
-	return compile(it)
+	return compile(it), nil
 }
 
 // Evaluate runs the compiled prediction under the Values/TripCounts
 // bound at compile time.
 func (c *Compiled) Evaluate(ctx context.Context) (*Report, error) {
-	return c.evaluate(ctx, c.opts.Values, c.opts.TripCounts, false)
+	return c.evaluate(ctx, c.opts.Values, c.opts.TripCounts)
 }
 
-// EvaluateWith re-evaluates the prediction under new critical-variable
-// values and trip counts, reusing memoized subtree evaluations whose
-// resolved inputs are unchanged (the incremental-sweep path).
+// EvaluateWith evaluates the prediction under the given critical-variable
+// values and trip counts instead of the ones bound at compile time, so
+// one compiled form serves every point of a parameter sweep. Each call
+// runs every cost thunk; only the definition-tracing result is memoized
+// per value set.
 func (c *Compiled) EvaluateWith(ctx context.Context, values map[string]sem.Value, trips map[int]int) (*Report, error) {
-	return c.evaluate(ctx, values, trips, true)
+	return c.evaluate(ctx, values, trips)
 }
 
 // Procs returns the processor-grid size the program was compiled for.
@@ -173,7 +127,7 @@ func (c *Compiled) Program() string { return c.prog.Name }
 // ---------------------------------------------------------------------------
 // Compilation
 
-func compile(it *Interpreter) (*Compiled, error) {
+func compile(it *Interpreter) *Compiled {
 	it.costs = make(map[hir.Stmt]costParts)
 	it.prepass(it.prog.Body, 0)
 	c := &Compiled{
@@ -184,7 +138,6 @@ func compile(it *Interpreter) (*Compiled, error) {
 		costs:  it.costs,
 		tmpl:   BuildSAAG(it.prog),
 		traces: make(map[string]*analysis.Trace),
-		memo:   make(map[string]*memoEntry),
 	}
 	c.tmpl.Walk(func(a *AAU) {
 		if a.ID > c.maxID {
@@ -192,10 +145,7 @@ func compile(it *Interpreter) (*Compiled, error) {
 		}
 	})
 	c.tops = c.compileAAUs(c.tmpl.Root.Children)
-	for _, a := range c.tmpl.Root.Children {
-		c.meta = append(c.meta, subtreeMeta(a.Stmt))
-	}
-	return c, nil
+	return c
 }
 
 func (c *Compiled) compileAAUs(aaus []*AAU) []cnode {
@@ -207,25 +157,30 @@ func (c *Compiled) compileAAUs(aaus []*AAU) []cnode {
 }
 
 func (c *Compiled) compileAAU(a *AAU) cnode {
+	var n cnode
 	switch a.Kind {
 	case Seq:
-		return c.compileSeq(a)
+		n = c.compileSeq(a)
 	case Iter, IterD:
 		if _, ok := a.Stmt.(*hir.While); ok {
-			return c.compileWhile(a)
+			n = c.compileWhile(a)
+		} else {
+			n = c.compileLoop(a)
 		}
-		return c.compileLoop(a)
 	case Condt, CondtD:
-		return c.compileCondt(a)
+		n = c.compileCondt(a)
 	case Comm:
-		return c.compileComm(a)
+		n = c.compileComm(a)
 	case IO:
-		return c.compileIO(a)
+		n = c.compileIO(a)
+	default:
+		err := fmt.Errorf("core: cannot interpret AAU kind %s", a.Kind)
+		n = cnode{id: a.ID, line: a.Line, fn: func(*evalState, float64) (Metrics, error) {
+			return Metrics{}, err
+		}}
 	}
-	err := fmt.Errorf("core: cannot interpret AAU kind %s", a.Kind)
-	return cnode{id: a.ID, line: a.Line, fn: func(*evalState, float64) (Metrics, error) {
-		return Metrics{}, err
-	}}
+	n.span = "interp." + a.Kind.String()
+	return n
 }
 
 func (c *Compiled) compileSeq(a *AAU) cnode {
@@ -254,14 +209,14 @@ func (c *Compiled) compileSeq(a *AAU) cnode {
 		if lhs != "" && !st.pinned[lhs] {
 			if static {
 				if staticKnown {
-					st.envSet(lhs, staticVal)
+					st.env[lhs] = staticVal
 				} else {
-					st.envDel(lhs)
+					delete(st.env, lhs)
 				}
 			} else if v, ok := evalScalar(rhs, st.env); ok {
-				st.envSet(lhs, v)
+				st.env[lhs] = v
 			} else {
-				st.envDel(lhs)
+				delete(st.env, lhs)
 			}
 		}
 		return st.add(id, line, mult, base), nil
@@ -348,16 +303,16 @@ func (c *Compiled) compileLoop(a *AAU) cnode {
 		m := Metrics{CompUS: bound.compUS, OvhdUS: bound.ovhdUS + localTrips*loopOvhdUS, Execs: 1}
 		self := st.add(id, line, mult, m)
 		if resolved {
-			st.envSet(x.Var, sem.IntVal(int64((lo+hi)/2)))
+			st.env[x.Var] = sem.IntVal(int64((lo + hi) / 2))
 		} else {
-			st.envDel(x.Var)
+			delete(st.env, x.Var)
 		}
 		body, err := st.run(children, mult*localTrips)
 		if err != nil {
 			return Metrics{}, err
 		}
 		st.kill(kills)
-		st.envDel(x.Var)
+		delete(st.env, x.Var)
 		self.Accumulate(body)
 		return self, nil
 	}}
@@ -580,7 +535,7 @@ func (c *Compiled) compileIO(a *AAU) cnode {
 // ---------------------------------------------------------------------------
 // Evaluation
 
-func (c *Compiled) evaluate(ctx context.Context, values map[string]sem.Value, trips map[int]int, memoize bool) (*Report, error) {
+func (c *Compiled) evaluate(ctx context.Context, values map[string]sem.Value, trips map[int]int) (*Report, error) {
 	// Chaos hook at entry, matching the tree walker.
 	if err := faults.Fire(faults.SiteInterp); err != nil {
 		return nil, err
@@ -588,8 +543,8 @@ func (c *Compiled) evaluate(ctx context.Context, values map[string]sem.Value, tr
 	trace := c.traceFor(values)
 	g, byID, recs := c.instantiate()
 	st := &evalState{
-		c:      c,
 		ctx:    ctx,
+		span:   obs.SpanFromContext(ctx),
 		env:    make(absEnv, len(values)),
 		pinned: make(map[string]bool, len(values)),
 		trips:  trips,
@@ -602,7 +557,7 @@ func (c *Compiled) evaluate(ctx context.Context, values map[string]sem.Value, tr
 		st.env[k] = v
 		st.pinned[k] = true
 	}
-	total, err := st.runTop(memoize)
+	total, err := st.run(c.tops, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -665,238 +620,6 @@ func (c *Compiled) traceFor(values map[string]sem.Value) *analysis.Trace {
 	return t
 }
 
-// runTop evaluates the root's children, consulting the subtree memo when
-// memoize is set. Mirrors interpAAUs at the root level.
-func (st *evalState) runTop(memoize bool) (Metrics, error) {
-	var total Metrics
-	for i, n := range st.c.tops {
-		if st.stride++; st.stride >= ctxCheckStride {
-			st.stride = 0
-			if err := st.ctx.Err(); err != nil {
-				return total, err
-			}
-			if err := faults.Fire(faults.SiteInterp); err != nil {
-				return total, err
-			}
-		}
-		var m Metrics
-		var err error
-		if memoize {
-			key := st.c.memoKey(i, st)
-			if e := st.c.memoGet(key); e != nil {
-				m = st.replay(e)
-			} else {
-				var ops []memoOp
-				st.rec = &ops
-				m, err = n.fn(st, 1)
-				st.rec = nil
-				if err == nil {
-					st.c.memoPut(key, &memoEntry{ops: ops, total: m})
-				}
-			}
-		} else {
-			m, err = n.fn(st, 1)
-		}
-		if err != nil {
-			return total, err
-		}
-		st.setClock(n.id)
-		total.Accumulate(m)
-	}
-	return total, nil
-}
-
-// run evaluates nested children, mirroring interpAAUs: per-AAU stride
-// checks, per-child clock stamps, metric accumulation.
-func (st *evalState) run(ns []cnode, mult float64) (Metrics, error) {
-	var total Metrics
-	for _, n := range ns {
-		if st.stride++; st.stride >= ctxCheckStride {
-			st.stride = 0
-			if err := st.ctx.Err(); err != nil {
-				return total, err
-			}
-			if err := faults.Fire(faults.SiteInterp); err != nil {
-				return total, err
-			}
-		}
-		m, err := n.fn(st, mult)
-		if err != nil {
-			return total, err
-		}
-		st.setClock(n.id)
-		total.Accumulate(m)
-	}
-	return total, nil
-}
-
-// add mirrors Interpreter.add: scale by multiplicity, accumulate into
-// the AAU, the clock and the line index.
-func (st *evalState) add(id, line int, mult float64, m Metrics) Metrics {
-	m.CompUS *= mult
-	m.CommUS *= mult
-	m.OvhdUS *= mult
-	m.Execs *= mult
-	st.applyAdd(id, line, m)
-	if st.rec != nil {
-		*st.rec = append(*st.rec, memoOp{kind: mopAdd, id: id, line: line, m: m})
-	}
-	return m
-}
-
-func (st *evalState) applyAdd(id, line int, m Metrics) {
-	a := st.byID[id]
-	a.Metrics.Accumulate(m)
-	st.clock += m.TotalUS()
-	if line > 0 {
-		lm, ok := st.byLine[line]
-		if !ok {
-			lm = &Metrics{}
-			st.byLine[line] = lm
-		}
-		lm.Accumulate(m)
-	}
-}
-
-func (st *evalState) setClock(id int) {
-	st.byID[id].ClockUS = st.clock
-	if st.rec != nil {
-		*st.rec = append(*st.rec, memoOp{kind: mopClock, id: id})
-	}
-}
-
-func (st *evalState) comm(recIdx int, bytes, costUS, mult float64) {
-	r := st.recs[recIdx]
-	r.Bytes = bytes
-	r.CostUS = costUS
-	r.Count += mult
-	if st.rec != nil {
-		*st.rec = append(*st.rec, memoOp{kind: mopComm, id: recIdx, m: Metrics{CompUS: bytes, CommUS: costUS, OvhdUS: mult}})
-	}
-}
-
-func (st *evalState) warnf(text string) {
-	st.warnings = append(st.warnings, text)
-	if st.rec != nil {
-		*st.rec = append(*st.rec, memoOp{kind: mopWarn, s: text})
-	}
-}
-
-func (st *evalState) envSet(name string, v sem.Value) {
-	st.env[name] = v
-	if st.rec != nil {
-		*st.rec = append(*st.rec, memoOp{kind: mopEnvSet, s: name, v: v})
-	}
-}
-
-func (st *evalState) envDel(name string) {
-	delete(st.env, name)
-	if st.rec != nil {
-		*st.rec = append(*st.rec, memoOp{kind: mopEnvDel, s: name})
-	}
-}
-
-// kill is the compiled counterpart of Interpreter.killAssigned: remove
-// every non-pinned name of a precomputed kill set.
-func (st *evalState) kill(names []string) {
-	for _, n := range names {
-		if st.pinned[n] {
-			continue
-		}
-		st.envDel(n)
-	}
-}
-
-// replay re-applies a recorded subtree evaluation: the same adds in the
-// same order (so clocks, by-line sums and totals stay bit-identical),
-// plus env/comm/warning side effects.
-func (st *evalState) replay(e *memoEntry) Metrics {
-	for i := range e.ops {
-		op := &e.ops[i]
-		switch op.kind {
-		case mopAdd:
-			st.applyAdd(op.id, op.line, op.m)
-		case mopClock:
-			st.byID[op.id].ClockUS = st.clock
-		case mopComm:
-			r := st.recs[op.id]
-			r.Bytes = op.m.CompUS
-			r.CostUS = op.m.CommUS
-			r.Count += op.m.OvhdUS
-		case mopWarn:
-			st.warnings = append(st.warnings, op.s)
-		case mopEnvSet:
-			st.env[op.s] = op.v
-		case mopEnvDel:
-			delete(st.env, op.s)
-		}
-	}
-	return e.total
-}
-
-// ---------------------------------------------------------------------------
-// Memoization keys
-
-func (c *Compiled) memoGet(key string) *memoEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.memo[key]
-}
-
-func (c *Compiled) memoPut(key string, e *memoEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.memo) >= memoCap {
-		c.memo = make(map[string]*memoEntry)
-	}
-	c.memo[key] = e
-}
-
-// memoKey fingerprints every dynamic input of top-level subtree i: the
-// entry values of its scalar read set, the pinned-ness of its write set,
-// trip-count overrides for its loop lines, and the traced bounds of its
-// loops and whiles. Two evaluations with equal keys take identical paths
-// through the subtree's closures.
-func (c *Compiled) memoKey(i int, st *evalState) string {
-	meta := &c.meta[i]
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d", i)
-	for _, n := range meta.reads {
-		if v, ok := st.env[n]; ok {
-			b.WriteString("|r:")
-			b.WriteString(n)
-			b.WriteByte('=')
-			b.WriteString(valKey(v))
-		} else {
-			b.WriteString("|r:")
-			b.WriteString(n)
-			b.WriteString("=?")
-		}
-	}
-	for _, n := range meta.writes {
-		if st.pinned[n] {
-			b.WriteString("|p:")
-			b.WriteString(n)
-		}
-	}
-	for _, l := range meta.lines {
-		if t, ok := st.trips[l]; ok {
-			fmt.Fprintf(&b, "|t:%d=%d", l, t)
-		}
-	}
-	for _, lp := range meta.loops {
-		if lt := st.trace.Loops[lp]; lt != nil && lt.Resolved {
-			fmt.Fprintf(&b, "|L%d:%d:%d:%d", lp.SrcLine, lt.Lo, lt.Hi, lt.Step)
-		}
-	}
-	for _, w := range meta.whiles {
-		if wt := st.trace.Whiles[w]; wt != nil && wt.CondResolved {
-			fmt.Fprintf(&b, "|W%d:%t", w.SrcLine, wt.CondValue)
-		}
-	}
-	return b.String()
-}
-
 // valKey canonicalizes a sem.Value for fingerprinting (bit-exact on
 // reals).
 func valKey(v sem.Value) string {
@@ -923,63 +646,92 @@ func valuesFP(values map[string]sem.Value) string {
 	return b.String()
 }
 
-// ---------------------------------------------------------------------------
-// Subtree metadata
+// run evaluates sibling AAUs, mirroring interpAAUs: per-AAU stride
+// checks, per-child clock stamps, metric accumulation.
+func (st *evalState) run(ns []cnode, mult float64) (Metrics, error) {
+	var total Metrics
+	for i := range ns {
+		n := &ns[i]
+		if st.stride++; st.stride >= ctxCheckStride {
+			st.stride = 0
+			if err := st.ctx.Err(); err != nil {
+				return total, err
+			}
+			if err := faults.Fire(faults.SiteInterp); err != nil {
+				return total, err
+			}
+		}
+		var m Metrics
+		var err error
+		if st.span != nil {
+			m, err = st.runTraced(n, mult)
+		} else {
+			m, err = n.fn(st, mult)
+		}
+		if err != nil {
+			return total, err
+		}
+		st.byID[n.id].ClockUS = st.clock
+		total.Accumulate(m)
+	}
+	return total, nil
+}
 
-// subtreeMeta computes the dynamic-input interface of one top-level
-// statement subtree.
-func subtreeMeta(s hir.Stmt) topMeta {
-	var m topMeta
-	readSeen := make(map[string]bool)
-	lineSeen := make(map[int]bool)
-	addReads := func(es ...hir.Expr) {
-		for _, e := range es {
-			if e == nil {
-				continue
-			}
-			for _, n := range hir.ScalarRefs(e) {
-				if !readSeen[n] {
-					readSeen[n] = true
-					m.reads = append(m.reads, n)
-				}
-			}
-		}
+// runTraced evaluates one AAU inside an interp.<kind> span. The current
+// span is swapped so nested AAUs parent correctly, then restored: an
+// evaluation runs on one goroutine, so a plain field works.
+func (st *evalState) runTraced(n *cnode, mult float64) (Metrics, error) {
+	parent := st.span
+	s := parent.StartChild(n.span)
+	if n.line > 0 {
+		s.SetAttrInt("line", n.line)
 	}
-	addLine := func(l int) {
-		if !lineSeen[l] {
-			lineSeen[l] = true
-			m.lines = append(m.lines, l)
+	st.span = s
+	m, err := n.fn(st, mult)
+	s.End()
+	st.span = parent
+	return m, err
+}
+
+// add mirrors Interpreter.add: scale by multiplicity, accumulate into
+// the AAU, the clock and the line index.
+func (st *evalState) add(id, line int, mult float64, m Metrics) Metrics {
+	m.CompUS *= mult
+	m.CommUS *= mult
+	m.OvhdUS *= mult
+	m.Execs *= mult
+	st.byID[id].Metrics.Accumulate(m)
+	st.clock += m.TotalUS()
+	if line > 0 {
+		lm, ok := st.byLine[line]
+		if !ok {
+			lm = &Metrics{}
+			st.byLine[line] = lm
 		}
+		lm.Accumulate(m)
 	}
-	var scan func(ss []hir.Stmt)
-	scan = func(ss []hir.Stmt) {
-		for _, s := range ss {
-			switch x := s.(type) {
-			case *hir.Assign:
-				addReads(x.Rhs)
-			case *hir.Loop:
-				addReads(x.Lo, x.Hi, x.Step)
-				addLine(x.SrcLine)
-				m.loops = append(m.loops, x)
-				scan(x.Body)
-			case *hir.While:
-				addLine(x.SrcLine)
-				m.whiles = append(m.whiles, x)
-				scan(x.Body)
-			case *hir.If:
-				addReads(x.Cond)
-				scan(x.Then)
-				scan(x.Else)
-			case *hir.CShift:
-				addReads(x.Shift)
-			case *hir.EOShift:
-				addReads(x.Shift)
-			}
-		}
-	}
-	scan([]hir.Stmt{s})
-	m.writes = killSet([]hir.Stmt{s})
 	return m
+}
+
+func (st *evalState) comm(recIdx int, bytes, costUS, mult float64) {
+	r := st.recs[recIdx]
+	r.Bytes = bytes
+	r.CostUS = costUS
+	r.Count += mult
+}
+
+func (st *evalState) warnf(text string) {
+	st.warnings = append(st.warnings, text)
+}
+
+// kill is the compiled counterpart of Interpreter.killAssigned: remove
+// every non-pinned name of a precomputed kill set.
+func (st *evalState) kill(names []string) {
+	for _, n := range names {
+		if !st.pinned[n] {
+			delete(st.env, n)
+		}
+	}
 }
 
 // killSet lists, in deterministic order, every scalar name the

@@ -19,8 +19,8 @@ import (
 // core must produce exactly — bit for bit — the report the reference
 // tree-walking interpreter produces, across every program we can get our
 // hands on (testdata, the paper's validation suite, the fuzz corpora,
-// randomized control-flow programs) and across repeated memoized
-// evaluations. InterpretTree is the flagged reference implementation;
+// randomized control-flow programs) and across repeated evaluations of
+// one compiled form. InterpretTree is the reference implementation;
 // Interpret takes the compiled path.
 
 // diffOne asserts tree-walking and compiled interpretation of src agree
@@ -233,7 +233,7 @@ func TestEquivRandomPrograms(t *testing.T) {
 }
 
 // incrementalSrc has two independent sweeps over distinct critical
-// variables, so changing one leaves the other's subtree memo-reusable.
+// variables, so a sweep can vary one while the other stays fixed.
 const incrementalSrc = `PROGRAM inc
 REAL A(256)
 !HPF$ PROCESSORS P(4)
@@ -248,10 +248,9 @@ S = SUM(A)
 PRINT *, S
 END`
 
-// TestEquivIncrementalMemo drives the memoized EvaluateWith path across
-// a sweep of critical-variable points — including repeats, which replay
-// recorded subtree op logs — and checks every point against a fresh
-// tree-walking run.
+// TestEquivIncrementalMemo drives one compiled form's EvaluateWith across
+// a sweep of critical-variable points, including repeats, and checks
+// every point against a fresh tree-walking run.
 func TestEquivIncrementalMemo(t *testing.T) {
 	prog, err := compiler.Compile(incrementalSrc)
 	if err != nil {
@@ -282,22 +281,10 @@ func TestEquivIncrementalMemo(t *testing.T) {
 			t.Fatalf("point %d (N=%d M=%d): %s", i, pt[0], pt[1], d)
 		}
 	}
-	c.mu.Lock()
-	entries := len(c.memo)
-	c.mu.Unlock()
-	if entries == 0 {
-		t.Fatal("memo never populated — EvaluateWith is not memoizing")
-	}
-	// 7 points x 7 top-level subtrees would be 49 distinct evaluations
-	// without sharing; unchanged subtrees must be reused across points.
-	if entries >= len(points)*len(c.tops) {
-		t.Errorf("memo holds %d entries for %d points x %d subtrees — no incremental reuse",
-			entries, len(points), len(c.tops))
-	}
 }
 
-// TestEquivConcurrentEvaluate exercises concurrent memoized evaluations
-// of one Compiled (the sweep engine's sharing pattern) under -race.
+// TestEquivConcurrentEvaluate exercises concurrent evaluations of one
+// Compiled (the sweep engine's sharing pattern) under -race.
 func TestEquivConcurrentEvaluate(t *testing.T) {
 	prog, err := compiler.Compile(incrementalSrc)
 	if err != nil {

@@ -43,7 +43,7 @@ const DefaultCacheEntries = 4096
 // programs (*hir.Program), closure-compiled prediction forms
 // (*core.Compiled, keyed by the static interpretation options only, so
 // one form serves every Values/TripCounts combination through its
-// incremental EvaluateWith path), whole interpretation reports
+// EvaluateWith path), whole interpretation reports
 // (*core.Report), and simulated-execution results (*exec.Result — the
 // simulator is deterministic for a fixed MeasureSpec, which is what
 // makes measurement memoizable at all).
@@ -429,11 +429,10 @@ func (c *Cache) Compile(ctx context.Context, src string, opts compiler.Options, 
 
 // CompiledPrediction returns the closure-compiled prediction form for
 // (src, copts, static iopts) on the named machine abstraction, built at
-// most once per live key. The form is shared and concurrency-safe; its
-// subtree memoization accumulates across every EvaluateWith caller, so
-// incremental sweeps that vary only Values/TripCounts re-evaluate only
-// the cost terms those feed. Uncacheable options (injected CommLibrary)
-// build a private form.
+// most once per live key. The form is shared and concurrency-safe, so
+// sweeps that vary only Values/TripCounts evaluate one form with
+// EvaluateWith. Uncacheable options (injected CommLibrary) build a
+// private form.
 func (c *Cache) CompiledPrediction(ctx context.Context, src string, copts compiler.Options, iopts core.Options, machine string, stats *Stats) (*core.Compiled, error) {
 	fp, cacheable := predictFingerprint(iopts)
 	if !cacheable {
@@ -503,19 +502,17 @@ func buildPredict(ctx context.Context, prog *hir.Program, iopts core.Options, ma
 // Interpret returns the interpretation report for (src, copts, iopts)
 // on the named machine abstraction ("" = iPSC/860 default), memoizing
 // whole reports when the options are fingerprintable. Compilation
-// always goes through the compile cache, and report misses evaluate the
-// cached compiled prediction form instead of tree-walking (traced
-// requests keep the tree-walker so the interp.<kind> span structure
-// survives). The builder honors ctx: a report whose construction was
-// cancelled is dropped from the cache so a later request rebuilds it.
+// always goes through the compile cache, and every report miss, traced
+// or not, evaluates the compiled prediction form. The builder honors
+// ctx: a report whose construction was cancelled is dropped from the
+// cache so a later request rebuilds it.
 func (c *Cache) Interpret(ctx context.Context, src string, copts compiler.Options, iopts core.Options, machine string, stats *Stats) (*core.Report, error) {
 	fp, cacheable := interpFingerprint(iopts)
 	if !cacheable {
-		prog, err := c.Compile(ctx, src, copts, stats)
-		if err != nil {
+		if _, err := c.Compile(ctx, src, copts, stats); err != nil {
 			return nil, err
 		}
-		return runInterp(ctx, prog, iopts, machine, stats)
+		return c.interpret(ctx, src, copts, iopts, machine, stats)
 	}
 
 	key := compileKey(src, copts) + "|mach=" + machine + "|" + fp
@@ -549,28 +546,10 @@ func (c *Cache) Interpret(ctx context.Context, src string, copts compiler.Option
 		if e.err = faults.Fire(faults.SiteCache); e.err != nil {
 			return
 		}
-		var prog *hir.Program
-		prog, e.err = c.Compile(ctx, src, copts, stats)
-		if e.err != nil {
+		if _, e.err = c.Compile(ctx, src, copts, stats); e.err != nil {
 			return
 		}
-		if obs.SpanFromContext(ctx) != nil {
-			// A traced request wants the interp.<kind> span tree, which
-			// only the tree-walking interpreter emits.
-			e.rep, e.err = runInterp(ctx, prog, iopts, machine, stats)
-			return
-		}
-		var cp *core.Compiled
-		cp, e.err = c.CompiledPrediction(ctx, src, copts, iopts, machine, stats)
-		if e.err != nil {
-			return
-		}
-		start := time.Now()
-		e.rep, e.err = cp.EvaluateWith(ctx, iopts.Values, iopts.TripCounts)
-		if stats != nil {
-			stats.Interps.Add(1)
-			stats.InterpNS.Add(int64(time.Since(start)))
-		}
+		e.rep, e.err = c.interpret(ctx, src, copts, iopts, machine, stats)
 	}()
 	if poisoned(e.err) {
 		// A cancelled, panicked or fault-injected build is the attempt's
@@ -581,29 +560,27 @@ func (c *Cache) Interpret(ctx context.Context, src string, copts compiler.Option
 	return e.rep, e.err
 }
 
-func runInterp(ctx context.Context, prog *hir.Program, iopts core.Options, machine string, stats *Stats) (rep *core.Report, err error) {
+// interpret evaluates the compiled prediction form under iopts'
+// Values/TripCounts. Its interp span covers the form lookup or build and
+// the evaluation; the interpret stage time counts the evaluation only.
+// The caller has already compiled src, so the compile span stays outside
+// the interp span.
+func (c *Cache) interpret(ctx context.Context, src string, copts compiler.Options, iopts core.Options, machine string, stats *Stats) (rep *core.Report, err error) {
 	defer recoverToErr("interpret", &err)
-	var mach *sysmodel.Machine
-	if machine != "" {
-		mach, err = sysmodel.MachineByName(machine)
-		if err != nil {
-			return nil, err
-		}
-	}
 	ictx, span := obs.Start(ctx, "interp")
 	defer span.End()
-	start := time.Now()
-	it, err := core.NewContext(ictx, prog, mach, iopts)
+	cp, err := c.CompiledPrediction(ictx, src, copts, iopts, machine, stats)
 	if err != nil {
 		return nil, err
 	}
-	rep, err = it.Interpret()
-	if rep != nil {
-		span.SetAttrInt("procs", rep.Procs)
-	}
+	start := time.Now()
+	rep, err = cp.EvaluateWith(ictx, iopts.Values, iopts.TripCounts)
 	if stats != nil {
 		stats.Interps.Add(1)
 		stats.InterpNS.Add(int64(time.Since(start)))
+	}
+	if rep != nil {
+		span.SetAttrInt("procs", rep.Procs)
 	}
 	return rep, err
 }

@@ -11,6 +11,7 @@ import (
 	"hpfperf/internal/compiler"
 	"hpfperf/internal/core"
 	"hpfperf/internal/ipsc"
+	"hpfperf/internal/obs"
 )
 
 // tinySource generates a distinct-but-valid program per n so churn tests
@@ -348,7 +349,7 @@ func TestCancelledMeasureNotCached(t *testing.T) {
 func TestCompiledPredictionSharedAcrossValues(t *testing.T) {
 	// The compiled form is keyed by static options only: requests that
 	// differ in Values/TripCounts share one form and miss only the
-	// report cache, exercising the incremental EvaluateWith path.
+	// report cache, exercising the EvaluateWith path.
 	c := NewCacheSize(16)
 	var stats Stats
 	src := tinySource(6)
@@ -368,6 +369,109 @@ func TestCompiledPredictionSharedAcrossValues(t *testing.T) {
 	if stats.PredictMisses.Load() != 1 || stats.PredictHits.Load() != 1 {
 		t.Errorf("predict cache = %d hit / %d miss, want 1/1 (one shared form)",
 			stats.PredictHits.Load(), stats.PredictMisses.Load())
+	}
+}
+
+// spanSrc has loops, a DO WHILE (line 9), a scalar conditional and
+// communication, so its interp span tree has every nesting shape.
+const spanSrc = `PROGRAM spans
+REAL A(64)
+!HPF$ PROCESSORS P(4)
+!HPF$ DISTRIBUTE A(BLOCK) ONTO P
+X = 1.0
+DO I = 1, 4
+  FORALL (K=2:64) A(K) = A(K-1) * 0.5
+END DO
+DO WHILE (X .LT. 100.0)
+  X = X * 2.0
+END DO
+IF (X .GT. 1.0) THEN
+  Y = 2.0
+END IF
+S = SUM(A)
+PRINT *, S
+END`
+
+// interpSpans lists a trace's interp.<kind> spans as "depth name line",
+// in creation order.
+func interpSpans(tr *obs.Tracer) []string {
+	var out []string
+	tr.Tree().Root.Walk(func(depth int, n *obs.Node) {
+		if strings.HasPrefix(n.Name, "interp.") {
+			out = append(out, fmt.Sprintf("%d %s %s", depth, n.Name, n.Attrs["line"]))
+		}
+	})
+	return out
+}
+
+// TestSharedFormTracesEachRequest sends two traced requests for one
+// source through the cache; the second misses the report cache but
+// evaluates the compiled form the first one built. A form is shared, so
+// it must never hold on to the span of the request that built it: each
+// trace gets exactly the interp spans of its own evaluation.
+func TestSharedFormTracesEachRequest(t *testing.T) {
+	prog, err := compiler.Compile(spanSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCacheSize(8)
+	var stats Stats
+	var tracers [2]*obs.Tracer
+	var want [2][]string
+	var traced *core.Report
+	for i, trips := range []int{3, 5} {
+		opts := core.DefaultOptions()
+		opts.TripCounts = map[int]int{9: trips}
+
+		// Reference: the same interpretation traced directly.
+		ref := obs.NewTracer(obs.NewTraceID())
+		rroot := ref.Root("reference")
+		ictx, ispan := obs.Start(obs.ContextWithSpan(context.Background(), rroot), "interp")
+		it, err := core.NewContext(ictx, prog, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := it.Interpret(); err != nil {
+			t.Fatal(err)
+		}
+		ispan.End()
+		rroot.End()
+		want[i] = interpSpans(ref)
+
+		tracers[i] = obs.NewTracer(obs.NewTraceID())
+		root := tracers[i].Root("request")
+		rep, err := c.Interpret(obs.ContextWithSpan(context.Background(), root), spanSrc, compiler.Options{}, opts, "", &stats)
+		root.End()
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if i == 0 {
+			traced = rep
+		}
+	}
+	if stats.PredictMisses.Load() != 1 || stats.PredictHits.Load() != 1 {
+		t.Fatalf("predict cache = %d hit / %d miss, want 1/1 (second request reuses the form)",
+			stats.PredictHits.Load(), stats.PredictMisses.Load())
+	}
+	if len(want[0]) == 0 {
+		t.Fatal("reference trace has no interp spans")
+	}
+	for i, tr := range tracers {
+		got := interpSpans(tr)
+		if strings.Join(got, "\n") != strings.Join(want[i], "\n") {
+			t.Errorf("request %d: interp spans\n%s\nwant\n%s", i, strings.Join(got, "\n"), strings.Join(want[i], "\n"))
+		}
+	}
+
+	// Tracing does not change the prediction.
+	opts := core.DefaultOptions()
+	opts.TripCounts = map[int]int{9: 3}
+	untraced, err := NewCacheSize(8).Interpret(context.Background(), spanSrc, compiler.Options{}, opts, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := core.DiffReports(untraced, traced); d != "" {
+		t.Errorf("traced report differs from untraced: %s", d)
 	}
 }
 

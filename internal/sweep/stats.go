@@ -18,8 +18,8 @@ type Stats struct {
 	// CompileHits / CompileMisses count compile-cache lookups.
 	CompileHits   atomic.Int64
 	CompileMisses atomic.Int64
-	// Interps counts interpretation runs (tree-walked or compiled-form
-	// evaluations) that actually executed.
+	// Interps counts compiled-form evaluations that actually executed
+	// (report-cache misses).
 	Interps atomic.Int64
 	// PredictHits / PredictMisses count compiled-prediction-form cache
 	// lookups.
