@@ -66,6 +66,11 @@ type ckptState struct {
 	done    map[string]json.RawMessage
 	pending int // completions since the last flush
 
+	// writeMu serializes checkpoint writes and OnFlush reports. A flush
+	// takes it before releasing mu, so flushes are written and reported
+	// in the order they were decided and the file never goes backwards.
+	writeMu sync.Mutex
+
 	warnOnce sync.Once // one skip diagnostic per run; the counter has the rest
 }
 
@@ -132,23 +137,30 @@ func (st *ckptState) record(i int, v any) {
 	st.mu.Lock()
 	st.done[strconv.Itoa(i)] = msg
 	st.pending++
-	flush := st.pending >= every
-	if flush {
-		st.pending = 0
+	if st.pending < every {
+		st.mu.Unlock()
+		return
 	}
-	st.mu.Unlock()
-	if flush {
-		st.flush()
-	}
+	st.pending = 0
+	st.flushLocked()
 }
 
 // flush writes the checkpoint file atomically (temp + rename) and
 // notifies OnFlush with the number of points now durable.
 func (st *ckptState) flush() error {
 	st.mu.Lock()
+	return st.flushLocked()
+}
+
+// flushLocked is flush for a caller holding st.mu, which it releases.
+// The file contents and the reported count are both taken at the
+// decision, under st.mu.
+func (st *ckptState) flushLocked() error {
 	raw, err := json.Marshal(ckptFile{Key: st.ck.Key, N: st.n, Done: st.done})
 	count := len(st.done)
+	st.writeMu.Lock()
 	st.mu.Unlock()
+	defer st.writeMu.Unlock()
 	if err != nil {
 		return err
 	}

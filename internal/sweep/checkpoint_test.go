@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -204,5 +205,52 @@ func TestCheckpointFlushEveryBatches(t *testing.T) {
 	}
 	if got := flushes.Load(); got != 2 {
 		t.Fatalf("flushes = %d, want 2 (8 points / FlushEvery 4)", got)
+	}
+}
+
+// TestCheckpointConcurrentFlushesInDecisionOrder: with several workers
+// deciding flushes at once, flushes must still be written and reported
+// in the order they were decided, and each report must equal the number
+// of points in the file that flush wrote. FlushEvery 2 over 40 points
+// therefore reports exactly 2, 4, ..., 40.
+func TestCheckpointConcurrentFlushesInDecisionOrder(t *testing.T) {
+	const points, every = 40, 2
+	trials := 200
+	if testing.Short() {
+		trials = 20
+	}
+	e := New(Options{Workers: 4})
+	dir := t.TempDir()
+	for trial := 0; trial < trials; trial++ {
+		path := filepath.Join(dir, fmt.Sprintf("sweep-%d.ckpt", trial))
+		var mu sync.Mutex
+		var reports []int
+		var onFile []string
+		ck := &Checkpoint{Path: path, Key: "k", FlushEvery: every, OnFlush: func(done int) {
+			var f ckptFile
+			raw, err := os.ReadFile(path)
+			if err == nil {
+				err = json.Unmarshal(raw, &f)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			reports = append(reports, done)
+			if err != nil || len(f.Done) != done {
+				onFile = append(onFile, fmt.Sprintf("reported %d, file holds %d (%v)", done, len(f.Done), err))
+			}
+		}}
+		if _, err := MapCheckpoint(e, points, ck, func(i int) (int, error) { return i, nil }); err != nil {
+			t.Fatal(err)
+		}
+		if len(onFile) > 0 {
+			t.Fatalf("trial %d: %s", trial, strings.Join(onFile, "; "))
+		}
+		want := make([]int, 0, points/every)
+		for n := every; n <= points; n += every {
+			want = append(want, n)
+		}
+		if fmt.Sprint(reports) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: flush reports %v, want %v", trial, reports, want)
+		}
 	}
 }
