@@ -28,14 +28,14 @@ func (directivePass) Run(u *Unit) []Diagnostic {
 	info := u.Prog.Info
 	var out []Diagnostic
 
-	alignsTo := make(map[string][]*ast.AlignDir)   // template -> ALIGNs targeting it
-	distLine := make(map[string]int)               // target -> DISTRIBUTE line
-	var procs []*ast.ProcessorsDir                 // declared arrangements
-	var templates []*ast.TemplateDir               // declared templates
-	var aligns []*ast.AlignDir                     // all ALIGNs
-	usedProcs := make(map[string]bool)             // arrangements named in ONTO
-	distributed := make(map[string]bool)           // targets of DISTRIBUTE
-	anonymousDistribute := false                   // DISTRIBUTE without ONTO
+	alignsTo := make(map[string][]*ast.AlignDir) // template -> ALIGNs targeting it
+	distLine := make(map[string]int)             // target -> DISTRIBUTE line
+	var procs []*ast.ProcessorsDir               // declared arrangements
+	var templates []*ast.TemplateDir             // declared templates
+	var aligns []*ast.AlignDir                   // all ALIGNs
+	usedProcs := make(map[string]bool)           // arrangements named in ONTO
+	distributed := make(map[string]bool)         // targets of DISTRIBUTE
+	anonymousDistribute := false                 // DISTRIBUTE without ONTO
 	for _, d := range info.Prog.Directives {
 		switch x := d.(type) {
 		case *ast.ProcessorsDir:

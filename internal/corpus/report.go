@@ -14,9 +14,9 @@ type Row struct {
 	Name     string  `json:"name"`
 	Kernel   string  `json:"kernel"`
 	N        int     `json:"N"`
-	NB       int     `json:"NB"` // CYCLIC(k)/BLOCK(n) chunk; 0 = format default
-	P        int     `json:"P"`  // processor grid rows
-	Q        int     `json:"Q"`  // processor grid cols (1 for 1-D grids)
+	NB       int     `json:"NB"`     // CYCLIC(k)/BLOCK(n) chunk; 0 = format default
+	P        int     `json:"P"`      // processor grid rows
+	Q        int     `json:"Q"`      // processor grid cols (1 for 1-D grids)
 	Time     float64 `json:"time"`   // measured (simulated) seconds
 	Gflops   float64 `json:"Gflops"` // nominal kernel flops / time
 	PredTime float64 `json:"pred_time"`

@@ -233,7 +233,7 @@ func TestParseTraceparent(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"00-short",
-		"00-0000000000000000000000000000000000-0000000000000000-01", // wrong separators
+		"00-0000000000000000000000000000000000-0000000000000000-01",             // wrong separators
 		"00-" + strings.Repeat("0", 32) + "-" + strings.Repeat("a", 16) + "-01", // all-zero ID
 		"00-" + strings.Repeat("g", 32) + "-" + strings.Repeat("a", 16) + "-01", // non-hex
 	} {

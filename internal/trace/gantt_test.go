@@ -67,8 +67,8 @@ func TestGanttOutOfOrderEvents(t *testing.T) {
 	tr := &Trace{
 		Procs: 1,
 		Events: []Event{
-			{Type: BlockEnd, TimeUS: 10, Proc: 0},  // end before any begin
-			{Type: Recv, TimeUS: 20, Proc: 0},      // recv before any send
+			{Type: BlockEnd, TimeUS: 10, Proc: 0}, // end before any begin
+			{Type: Recv, TimeUS: 20, Proc: 0},     // recv before any send
 			{Type: BlockBegin, TimeUS: 30, Proc: 0},
 			{Type: BlockEnd, TimeUS: 60, Proc: 0},
 			{Type: TraceStop, TimeUS: 100, Proc: 0},
