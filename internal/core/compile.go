@@ -620,32 +620,6 @@ func (c *Compiled) traceFor(values map[string]sem.Value) *analysis.Trace {
 	return t
 }
 
-// valKey canonicalizes a sem.Value for fingerprinting (bit-exact on
-// reals).
-func valKey(v sem.Value) string {
-	return fmt.Sprintf("%d:%d:%x:%t", v.Type, v.I, math.Float64bits(v.R), v.B)
-}
-
-// valuesFP fingerprints a whole pinned-value set (the tracing memo key).
-func valuesFP(values map[string]sem.Value) string {
-	if len(values) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(values))
-	for k := range values {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		b.WriteString(n)
-		b.WriteByte('=')
-		b.WriteString(valKey(values[n]))
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
 // run evaluates sibling AAUs, mirroring interpAAUs: per-AAU stride
 // checks, per-child clock stamps, metric accumulation.
 func (st *evalState) run(ns []cnode, mult float64) (Metrics, error) {
@@ -732,6 +706,32 @@ func (st *evalState) kill(names []string) {
 			delete(st.env, n)
 		}
 	}
+}
+
+// valKey canonicalizes a sem.Value for fingerprinting (bit-exact on
+// reals).
+func valKey(v sem.Value) string {
+	return fmt.Sprintf("%d:%d:%x:%t", v.Type, v.I, math.Float64bits(v.R), v.B)
+}
+
+// valuesFP fingerprints a whole pinned-value set (the tracing memo key).
+func valuesFP(values map[string]sem.Value) string {
+	if len(values) == 0 {
+		return ""
+	}
+	names := make([]string, 0, len(values))
+	for k := range values {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, n := range names {
+		b.WriteString(n)
+		b.WriteByte('=')
+		b.WriteString(valKey(values[n]))
+		b.WriteByte(';')
+	}
+	return b.String()
 }
 
 // killSet lists, in deterministic order, every scalar name the
