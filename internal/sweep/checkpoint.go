@@ -29,9 +29,11 @@ type Checkpoint struct {
 	// flush after every completed point).
 	FlushEvery int
 	// OnFlush, when set, observes every durable write of the checkpoint
-	// file with the number of completed points on file. Long-running
-	// callers (the async jobs subsystem) journal these as
-	// checkpointed(n) state transitions.
+	// file with the number of completed points on file. Calls are
+	// serialized and arrive in the order the flushes were decided, so
+	// the counts never go backwards. Long-running callers (the async
+	// jobs subsystem) journal these as checkpointed(n) state
+	// transitions.
 	OnFlush func(done int)
 	// Warnf receives checkpoint diagnostics (results skipped because
 	// they do not round-trip through JSON). Nil routes them to
