@@ -103,7 +103,7 @@ func lintSource(file, src string) *analysis.Report {
 			}},
 		}
 	}
-	return analysis.NewReport(file, prog)
+	return analysis.NewReport(file, analysis.NewUnit(prog))
 }
 
 // errorLine extracts the source line from any of the frontend's

@@ -305,7 +305,7 @@ func (p *Program) CompilePredictionContext(ctx context.Context, opts *PredictOpt
 	if err != nil {
 		return nil, err
 	}
-	cp, err := core.CompilePrediction(ctx, p.hir, mach, opts.toCore())
+	cp, err := core.CompilePrediction(ctx, analysis.NewUnit(p.hir), mach, opts.toCore())
 	if err != nil {
 		return nil, err
 	}

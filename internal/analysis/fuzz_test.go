@@ -3,6 +3,7 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"hpfperf/internal/compiler"
@@ -10,10 +11,14 @@ import (
 )
 
 // FuzzAnalyze runs every analysis pass (including the definition tracer's
-// fixpoint) over arbitrary compilable input, asserting the analyzer never
-// panics, terminates within its budget, and emits only well-formed
-// diagnostics. Inputs that fail to compile are simply skipped — hpflint
-// reports those as HPF0000 without ever reaching the passes.
+// fixpoint) and the pricer over arbitrary compilable input, asserting the
+// analyzer never panics, terminates within its budget, and emits only
+// well-formed diagnostics. It also checks that the passes and the pricer
+// leave the unit's trace untouched: a compiled program's unpinned unit
+// is shared by admission, prediction and /v1/analyze, which is sound
+// only while every consumer reads it. Inputs that fail to compile are
+// simply skipped — hpflint reports those as HPF0000 without ever
+// reaching the passes.
 func FuzzAnalyze(f *testing.F) {
 	paths, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "*.hpf"))
 	for _, p := range paths {
@@ -36,7 +41,13 @@ func FuzzAnalyze(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, d := range Analyze(prog) {
+		u := NewUnit(prog)
+		ds := AnalyzeUnit(u)
+		Price(u)
+		if !reflect.DeepEqual(u.Trace, TraceProgram(prog, nil)) {
+			t.Fatal("analysis passes or the pricer modified the shared unit's trace")
+		}
+		for _, d := range ds {
 			if d.Code == "" || d.Pass == "" || d.Message == "" {
 				t.Fatalf("malformed diagnostic %+v", d)
 			}

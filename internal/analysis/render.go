@@ -3,8 +3,6 @@ package analysis
 import (
 	"fmt"
 	"strings"
-
-	"hpfperf/internal/hir"
 )
 
 // Report is the renderable result of one analysis run: the diagnostics
@@ -21,13 +19,15 @@ type Report struct {
 	Price *PriceReport `json:"price,omitempty"`
 }
 
-// NewReport analyzes and prices a compiled program and labels the result
-// with an optional file name. Diagnostics is always non-nil so the JSON
-// schema stays `[]` rather than `null` for clean programs. The unit
-// (and its definition trace) is built once and shared by the passes and
-// the pricer.
-func NewReport(file string, prog *hir.Program) *Report {
-	u := NewUnit(prog)
+// NewReport runs every pass over an analysis unit, prices it, and labels
+// the result with an optional file name. Diagnostics is always non-nil
+// so the JSON schema stays `[]` rather than `null` for clean programs.
+// The unit's definition trace is shared by the passes and the pricer,
+// and neither modifies it, so a unit another consumer holds (hpfserve's
+// compile cache shares one with admission and prediction) can be
+// reported without tracing the program again.
+func NewReport(file string, u *Unit) *Report {
+	prog := u.Prog
 	ds := AnalyzeUnit(u)
 	if ds == nil {
 		ds = []Diagnostic{}

@@ -12,7 +12,7 @@ import (
 // plus price), as hpflint and /v1/analyze do.
 func reportOf(t *testing.T, src string) *Report {
 	t.Helper()
-	return NewReport("prog.hpf", mustCompile(t, src))
+	return NewReport("prog.hpf", NewUnit(mustCompile(t, src)))
 }
 
 // TestReportSeverityAccounting: Counts and Max agree with the

@@ -45,8 +45,13 @@ const traceCap = 64
 // Compiled is the closure-compiled form of one (program, machine, static
 // options) triple. It is immutable after compilation apart from its
 // internal tracing memo and safe for concurrent Evaluate/EvaluateWith.
+// Evaluations with no pinned values read the definition trace of the
+// analysis unit the form was compiled from, so the program's unpinned
+// trace is computed once, by whoever built the unit; the memo only holds
+// traces for pinned value sets.
 type Compiled struct {
 	prog  *hir.Program
+	unit  *analysis.Unit // unpinned analysis; nil for Interpreter.Interpret
 	mach  *sysmodel.Machine
 	lib   *ipsc.CommLibrary
 	opts  Options // Values/TripCounts act as Evaluate defaults
@@ -90,17 +95,20 @@ type evalState struct {
 // ---------------------------------------------------------------------------
 // Public API
 
-// CompilePrediction builds the closure-compiled prediction form of prog
-// for mach under opts. The returned Compiled can be evaluated repeatedly
-// (and concurrently) with varying critical-variable values and trip
-// counts; static options (memory model, load model, mask density, branch
-// probability, comm model, machine) are bound at compile time.
-func CompilePrediction(ctx context.Context, prog *hir.Program, mach *sysmodel.Machine, opts Options) (*Compiled, error) {
-	it, err := NewContext(ctx, prog, mach, opts)
+// CompilePrediction builds the closure-compiled prediction form of the
+// unit's program for mach under opts. The returned Compiled can be
+// evaluated repeatedly (and concurrently) with varying critical-variable
+// values and trip counts; static options (memory model, load model, mask
+// density, branch probability, comm model, machine) are bound at compile
+// time. Evaluations with no pinned values use u.Trace, which must be the
+// program's unpinned definition trace (analysis.NewUnit); the unit is
+// shared, never modified.
+func CompilePrediction(ctx context.Context, u *analysis.Unit, mach *sysmodel.Machine, opts Options) (*Compiled, error) {
+	it, err := NewContext(ctx, u.Prog, mach, opts)
 	if err != nil {
 		return nil, err
 	}
-	return compile(it), nil
+	return compile(it, u), nil
 }
 
 // Evaluate runs the compiled prediction under the Values/TripCounts
@@ -112,8 +120,8 @@ func (c *Compiled) Evaluate(ctx context.Context) (*Report, error) {
 // EvaluateWith evaluates the prediction under the given critical-variable
 // values and trip counts instead of the ones bound at compile time, so
 // one compiled form serves every point of a parameter sweep. Each call
-// runs every cost thunk; only the definition-tracing result is memoized
-// per value set.
+// runs every cost thunk. With no values it reads the unit's unpinned
+// trace; a pinned value set is traced once and memoized per set.
 func (c *Compiled) EvaluateWith(ctx context.Context, values map[string]sem.Value, trips map[int]int) (*Report, error) {
 	return c.evaluate(ctx, values, trips)
 }
@@ -127,11 +135,14 @@ func (c *Compiled) Program() string { return c.prog.Name }
 // ---------------------------------------------------------------------------
 // Compilation
 
-func compile(it *Interpreter) *Compiled {
+// compile lowers the interpreter's SAAG. u is the program's unpinned
+// analysis unit, or nil to trace on first use.
+func compile(it *Interpreter, u *analysis.Unit) *Compiled {
 	it.costs = make(map[hir.Stmt]costParts)
 	it.prepass(it.prog.Body, 0)
 	c := &Compiled{
 		prog:   it.prog,
+		unit:   u,
 		mach:   it.mach,
 		lib:    it.lib,
 		opts:   it.opts,
@@ -540,7 +551,7 @@ func (c *Compiled) evaluate(ctx context.Context, values map[string]sem.Value, tr
 	if err := faults.Fire(faults.SiteInterp); err != nil {
 		return nil, err
 	}
-	trace := c.traceFor(values)
+	trace := c.Trace(values)
 	g, byID, recs := c.instantiate()
 	st := &evalState{
 		ctx:    ctx,
@@ -600,9 +611,13 @@ func (c *Compiled) instantiate() (*SAAG, []*AAU, []*CommRec) {
 	return g, byID, recs
 }
 
-// traceFor returns the (memoized) definition-tracing result for a pinned
-// value set.
-func (c *Compiled) traceFor(values map[string]sem.Value) *analysis.Trace {
+// Trace returns the definition trace an evaluation under the pinned
+// values uses: the unit's trace when there are none, otherwise a traced
+// result memoized per value set.
+func (c *Compiled) Trace(values map[string]sem.Value) *analysis.Trace {
+	if len(values) == 0 && c.unit != nil {
+		return c.unit.Trace
+	}
 	key := valuesFP(values)
 	c.mu.Lock()
 	if t, ok := c.traces[key]; ok {

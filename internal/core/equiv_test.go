@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"hpfperf/internal/analysis"
 	"hpfperf/internal/compiler"
 	"hpfperf/internal/sem"
 	"hpfperf/internal/suite"
@@ -256,7 +257,7 @@ func TestEquivIncrementalMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompilePrediction(context.Background(), prog, nil, DefaultOptions())
+	c, err := CompilePrediction(context.Background(), analysis.NewUnit(prog), nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestEquivConcurrentEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompilePrediction(context.Background(), prog, nil, DefaultOptions())
+	c, err := CompilePrediction(context.Background(), analysis.NewUnit(prog), nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,7 +229,7 @@ func calibratedLib(ctx context.Context, mach *sysmodel.Machine, procs int) (*ips
 // the interpreter's context carries an obs span, every AAU is recorded as
 // an interp.<kind> child span.
 func (it *Interpreter) Interpret() (*Report, error) {
-	return compile(it).evaluate(it.ctx, it.opts.Values, it.opts.TripCounts)
+	return compile(it, nil).evaluate(it.ctx, it.opts.Values, it.opts.TripCounts)
 }
 
 // InterpretTree runs the reference tree-walking interpretation algorithm

@@ -2,8 +2,8 @@ package server
 
 // Cost-based admission control: every predict/measure request is
 // pre-priced with the static analyzer (analysis.Price over the compiled
-// program and its definition trace) before any interpretation or
-// simulated execution runs. Two budgets apply: a per-request ceiling
+// program and its definition trace, both owned by the compile-cache
+// entry) before any interpretation or simulated execution runs. Two budgets apply: a per-request ceiling
 // (Config.MaxCostUnits) and an aggregate in-flight budget
 // (Config.MaxInflightCostUnits) — the priced variant of the bounded
 // queue, which distinguishes one 10^9-unit sweep from fifty 10^3-unit
@@ -16,7 +16,7 @@ import (
 	"net/http"
 
 	"hpfperf/internal/analysis"
-	"hpfperf/internal/hir"
+	"hpfperf/internal/sweep"
 )
 
 // costMilli converts cost units to the integer milli-units the atomic
@@ -37,33 +37,6 @@ func costMilli(units float64) int64 {
 		return 0
 	}
 	return int64(units * 1000)
-}
-
-// maxPriceEntries bounds the price memo; the engine's compile LRU keeps
-// far fewer programs alive, so eviction here is a pathological-churn
-// backstop, not a working-set limit.
-const maxPriceEntries = 1024
-
-// priceOf memoizes analysis.PriceProgram per compiled program. Pricing
-// re-runs definition tracing, which would otherwise cost more than a
-// cache-hot predict request it gates; the engine's LRU returns
-// pointer-identical programs for cached sources, so program identity is
-// a sound memo key.
-func (s *Server) priceOf(prog *hir.Program) *analysis.PriceReport {
-	s.priceMu.Lock()
-	if p, ok := s.prices[prog]; ok {
-		s.priceMu.Unlock()
-		return p
-	}
-	s.priceMu.Unlock()
-	price := analysis.PriceProgram(prog)
-	s.priceMu.Lock()
-	if s.prices == nil || len(s.prices) >= maxPriceEntries {
-		s.prices = make(map[*hir.Program]*analysis.PriceReport, 64)
-	}
-	s.prices[prog] = price
-	s.priceMu.Unlock()
-	return price
 }
 
 // ceiling checks a single point's price against the per-request budget.
@@ -116,15 +89,30 @@ func (s *Server) admitUnits(what string, units float64) (func(), *apiError) {
 	return func() { s.met.costInflightMilli.Add(-milli) }, nil
 }
 
+// priceOf is the static price of a compile-cache entry's unpinned
+// analysis. The entry builds the definition trace and price at most
+// once, and the prediction form later reuses that same trace, so
+// admission adds no tracing of its own to a cold request.
+func priceOf(prog *sweep.Program) (*analysis.PriceReport, *apiError) {
+	price, err := prog.Price()
+	if err != nil {
+		return nil, ctxErr(err, http.StatusInternalServerError, "admission")
+	}
+	return price, nil
+}
+
 // admitCost prices a compiled program and runs it through both cost
 // budgets. On admission it returns the price and a release func the
 // caller must defer; on rejection it returns a 429 apiError carrying
 // the estimate.
-func (s *Server) admitCost(prog *hir.Program) (*analysis.PriceReport, func(), *apiError) {
+func (s *Server) admitCost(prog *sweep.Program) (*analysis.PriceReport, func(), *apiError) {
 	if s.cfg.MaxCostUnits <= 0 && s.cfg.MaxInflightCostUnits <= 0 {
 		return nil, func() {}, nil
 	}
-	price := s.priceOf(prog)
+	price, aerr := priceOf(prog)
+	if aerr != nil {
+		return nil, nil, aerr
+	}
 	if aerr := s.ceiling(price); aerr != nil {
 		return nil, nil, aerr
 	}

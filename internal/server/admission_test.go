@@ -1,12 +1,20 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"hpfperf/internal/analysis"
+	"hpfperf/internal/compiler"
+	"hpfperf/internal/corpus"
 )
 
 // smallSource is a program whose static price is far below bigSource's.
@@ -24,7 +32,9 @@ const smallSource = `      PROGRAM TINY
 // TestCostAdmissionGate is the acceptance pair: with a per-request cost
 // budget set between the two programs' static prices, the expensive
 // request is rejected with 429 carrying the estimate while the identical
-// small request succeeds.
+// small request succeeds. A refused request must have built no
+// prediction form, evaluated nothing and executed nothing: admission
+// comes before all of them.
 func TestCostAdmissionGate(t *testing.T) {
 	// Price the two programs through an ungated server first so the test
 	// derives the budget instead of hardcoding pricer weights.
@@ -50,12 +60,21 @@ func TestCostAdmissionGate(t *testing.T) {
 	}
 	budget := (small + big) / 2
 
-	_, gated := newTestServer(t, Config{MaxCostUnits: budget})
+	gs, gated := newTestServer(t, Config{MaxCostUnits: budget})
+	noWork := func(after string) {
+		t.Helper()
+		snap := gs.eng.Snapshot()
+		if snap.PredictMisses != 0 || snap.Interps != 0 || snap.Execs != 0 {
+			t.Errorf("after %s: predict misses %d, interps %d, execs %d; want all 0",
+				after, snap.PredictMisses, snap.Interps, snap.Execs)
+		}
+	}
 
 	resp, body := post(t, gated.URL+"/v1/predict", PredictRequest{Source: bigSource(50)})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-budget predict: status %d, want 429: %s", resp.StatusCode, body)
 	}
+	noWork("the refused predict")
 	var e ErrorResponse
 	if err := json.Unmarshal(body, &e); err != nil {
 		t.Fatalf("429 body: %v", err)
@@ -73,15 +92,16 @@ func TestCostAdmissionGate(t *testing.T) {
 		t.Error("429 without Retry-After header")
 	}
 
-	resp, body = post(t, gated.URL+"/v1/predict", PredictRequest{Source: smallSource})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("under-budget predict: status %d, want 200: %s", resp.StatusCode, body)
-	}
-
 	// Measure is gated by the same budget.
 	resp, body = post(t, gated.URL+"/v1/measure", MeasureRequest{Source: bigSource(50), NoPerturb: true})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-budget measure: status %d, want 429: %s", resp.StatusCode, body)
+	}
+	noWork("the refused measure")
+
+	resp, body = post(t, gated.URL+"/v1/predict", PredictRequest{Source: smallSource})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("under-budget predict: status %d, want 200: %s", resp.StatusCode, body)
 	}
 	// Analyze is never cost-gated: pricing a program must stay possible
 	// exactly when its prediction would be refused.
@@ -171,4 +191,100 @@ func TestCostMilliSaturates(t *testing.T) {
 	if sum := sat + sat; sum < 0 {
 		t.Fatalf("saturation point overflows when doubled: %d", sum)
 	}
+}
+
+// TestAdmissionPriceMatchesPricer: the price admission reads from the
+// compile entry, and /v1/analyze's price block, are JSON-identical to
+// analysis.PriceProgram on a fresh compile, whichever consumer builds
+// the shared analysis first.
+func TestAdmissionPriceMatchesPricer(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.hpf"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	var srcs []string
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, string(b))
+	}
+	for _, p := range corpus.Generate(1, 60) {
+		srcs = append(srcs, p.Source)
+	}
+
+	// A one-unit ceiling refuses every program, so each predict stops at
+	// admission with the price it used in the 429.
+	s, ts := newTestServer(t, Config{MaxCostUnits: 1})
+	for i, src := range srcs {
+		prog, err := compiler.Compile(src)
+		if err != nil {
+			t.Fatalf("program %d: %v", i, err)
+		}
+		want := compactJSON(t, analysis.PriceProgram(prog))
+
+		predict := func() {
+			resp, body := post(t, ts.URL+"/v1/predict", PredictRequest{Source: src})
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("program %d: predict status %d, want 429: %s", i, resp.StatusCode, body)
+			}
+			var e ErrorResponse
+			if err := json.Unmarshal(body, &e); err != nil {
+				t.Fatal(err)
+			}
+			entry, err := s.eng.Program(context.Background(), src, compiler.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			price, aerr := priceOf(entry)
+			if aerr != nil {
+				t.Fatal(aerr.err)
+			}
+			if got := compactJSON(t, price); got != want {
+				t.Errorf("program %d: admission price\n got %s\nwant %s", i, got, want)
+			}
+			if e.EstimatedCostUnits != price.CostUnits {
+				t.Errorf("program %d: 429 estimate %g, want %g", i, e.EstimatedCostUnits, price.CostUnits)
+			}
+		}
+		analyze := func() {
+			resp, body := post(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: src})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("program %d: analyze status %d: %s", i, resp.StatusCode, body)
+			}
+			var ar struct {
+				Price json.RawMessage `json:"price"`
+			}
+			if err := json.Unmarshal(body, &ar); err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := json.Compact(&got, ar.Price); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want {
+				t.Errorf("program %d: analyze price\n got %s\nwant %s", i, got.String(), want)
+			}
+		}
+		if i%2 == 0 {
+			predict()
+			analyze()
+		} else {
+			analyze()
+			predict()
+		}
+	}
+	if n, want := s.eng.Snapshot().Analyses, int64(len(srcs)); n != want {
+		t.Errorf("built %d analyses for %d programs, want one each", n, want)
+	}
+}
+
+func compactJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"hpfperf/internal/compiler"
-	"hpfperf/internal/hir"
 	"hpfperf/internal/sweep"
 )
 
@@ -111,10 +110,10 @@ func (s *Server) handleBatch(ctx context.Context, body []byte) (any, *apiError) 
 	// a compile failure marks every point sharing the key, in the same
 	// (status, stage, message) form the standalone call produces.
 	type compiled struct {
-		prog *hir.Program
+		prog *sweep.Program
 		aerr *apiError
 	}
-	progs := make([]*hir.Program, len(req.Points))
+	progs := make([]*sweep.Program, len(req.Points))
 	byKey := make(map[compileKey]compiled)
 	for i := range req.Points {
 		results[i].Index = i
@@ -139,7 +138,7 @@ func (s *Server) handleBatch(ctx context.Context, body []byte) (any, *apiError) 
 		}
 		cv, ok := byKey[key]
 		if !ok {
-			prog, err := s.eng.CompileContext(ctx, key.src, key.opts)
+			prog, err := s.eng.Program(ctx, key.src, key.opts)
 			if err != nil {
 				cv = compiled{aerr: ctxErr(err, http.StatusBadRequest, "compile")}
 			} else {
@@ -166,8 +165,11 @@ func (s *Server) handleBatch(ctx context.Context, body []byte) (any, *apiError) 
 			if prog == nil {
 				continue
 			}
-			price := s.priceOf(prog)
-			if aerr := s.ceiling(price); aerr != nil {
+			price, aerr := priceOf(prog)
+			if aerr == nil {
+				aerr = s.ceiling(price)
+			}
+			if aerr != nil {
 				fail(i, aerr)
 				progs[i] = nil
 				continue
@@ -199,7 +201,7 @@ func (s *Server) handleBatch(ctx context.Context, body []byte) (any, *apiError) 
 		if p.Predict != nil {
 			results[i].Predict, aerr = s.evalPredict(ctx, p.Predict)
 		} else {
-			results[i].Measure, aerr = s.evalMeasure(ctx, p.Measure, progs[i])
+			results[i].Measure, aerr = s.evalMeasure(ctx, p.Measure, progs[i].Prog)
 		}
 		if aerr != nil {
 			results[i].Predict, results[i].Measure = nil, nil

@@ -115,13 +115,6 @@ type Server struct {
 	reqMu    sync.Mutex // guards met.requests growth
 	inflight sync.WaitGroup
 	draining atomic.Bool
-
-	// priceMu/prices memoize the static cost estimate per compiled
-	// program: the engine's LRU hands back pointer-identical *hir.Program
-	// values for cached sources, and pricing (which re-runs definition
-	// tracing) would otherwise dominate a cache-hot predict request.
-	priceMu sync.Mutex
-	prices  map[*hir.Program]*analysis.PriceReport
 }
 
 const (
@@ -605,7 +598,7 @@ func (s *Server) handlePredict(ctx context.Context, body []byte) (any, *apiError
 	ctx, cancel := context.WithTimeout(ctx, s.timeout(req.TimeoutMS))
 	defer cancel()
 
-	prog, err := s.eng.CompileContext(ctx, req.Source, req.Options.compilerOptions())
+	prog, err := s.eng.Program(ctx, req.Source, req.Options.compilerOptions())
 	if err != nil {
 		return nil, ctxErr(err, http.StatusBadRequest, "compile")
 	}
@@ -714,7 +707,7 @@ func (s *Server) handleMeasure(ctx context.Context, body []byte) (any, *apiError
 	ctx, cancel := context.WithTimeout(ctx, s.timeout(req.TimeoutMS))
 	defer cancel()
 
-	prog, err := s.eng.CompileContext(ctx, req.Source, compiler.Options{})
+	prog, err := s.eng.Program(ctx, req.Source, compiler.Options{})
 	if err != nil {
 		return nil, ctxErr(err, http.StatusBadRequest, "compile")
 	}
@@ -723,7 +716,7 @@ func (s *Server) handleMeasure(ctx context.Context, body []byte) (any, *apiError
 		return nil, aerr
 	}
 	defer releaseCost()
-	resp, aerr := s.evalMeasure(ctx, &req, prog)
+	resp, aerr := s.evalMeasure(ctx, &req, prog.Prog)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -786,7 +779,7 @@ func (s *Server) handleAnalyze(ctx context.Context, body []byte) (any, *apiError
 	ctx, cancel := context.WithTimeout(ctx, s.timeout(req.TimeoutMS))
 	defer cancel()
 
-	prog, err := s.eng.CompileContext(ctx, req.Source, compiler.Options{})
+	prog, err := s.eng.Program(ctx, req.Source, compiler.Options{})
 	if err != nil {
 		return nil, ctxErr(err, http.StatusBadRequest, "compile")
 	}
@@ -796,7 +789,14 @@ func (s *Server) handleAnalyze(ctx context.Context, body []byte) (any, *apiError
 	if err := ctx.Err(); err != nil {
 		return nil, ctxErr(err, http.StatusGatewayTimeout, "analyze")
 	}
-	rep := analysis.NewReport("", prog)
+	// The passes and the pricer share the compile entry's unit, so a
+	// program already traced for admission or prediction is not traced
+	// again.
+	unit, err := prog.Unit()
+	if err != nil {
+		return nil, ctxErr(err, http.StatusInternalServerError, "analyze")
+	}
+	rep := analysis.NewReport("", unit)
 	e, w, i := rep.Counts()
 	return &AnalyzeResponse{
 		Program:     rep.Program,

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hpfperf/internal/analysis"
 	"hpfperf/internal/compiler"
 	"hpfperf/internal/core"
 	"hpfperf/internal/exec"
@@ -40,7 +41,8 @@ const DefaultCacheEntries = 4096
 // build.
 //
 // Four artifact kinds are cached, one bounded map each: compiled
-// programs (*hir.Program), closure-compiled prediction forms
+// programs (*Program: the *hir.Program plus its unpinned analysis,
+// built on first use), closure-compiled prediction forms
 // (*core.Compiled, keyed by the static interpretation options only, so
 // one form serves every Values/TripCounts combination through its
 // EvaluateWith path), whole interpretation reports
@@ -101,8 +103,72 @@ func NewCacheSize(n int) *Cache {
 type compileEntry struct {
 	done chan struct{} // closed when prog/err are final
 	elem *list.Element // LRU position; nil once evicted
-	prog *hir.Program
+	prog Program
 	err  error
+}
+
+// Program is one compile-cache entry's program together with its
+// unpinned analysis: the definition trace run with no pinned values
+// (analysis.NewUnit) and the static price of that trace
+// (analysis.Price). The analysis is built on first use, at most once
+// per entry, and shared by every consumer — the cost-admission gate,
+// the closure-compiled prediction form (whose evaluations without
+// pinned values read the unit's trace) and /v1/analyze — so a cold
+// program is traced once. It is evicted together with the entry.
+type Program struct {
+	// Prog is the compiled program (immutable, shared).
+	Prog *hir.Program
+
+	stats *Stats                   // counts analysis builds; may be nil
+	mu    sync.Mutex               // serializes the first analysis build
+	res   atomic.Pointer[analyzed] // nil until a build succeeds
+}
+
+type analyzed struct {
+	unit  *analysis.Unit
+	price *analysis.PriceReport
+}
+
+// analyze returns the program's analysis, building it on first use. A
+// build that panics returns a *PanicError and memoizes nothing, so the
+// next caller rebuilds.
+func (p *Program) analyze() (a *analyzed, err error) {
+	if a = p.res.Load(); a != nil {
+		return a, nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if a = p.res.Load(); a != nil {
+		return a, nil
+	}
+	defer recoverToErr("analyze", &err)
+	u := analysis.NewUnit(p.Prog)
+	a = &analyzed{unit: u, price: analysis.Price(u)}
+	p.res.Store(a)
+	if p.stats != nil {
+		p.stats.Analyses.Add(1)
+	}
+	return a, nil
+}
+
+// Unit returns the program's unpinned analysis unit, tracing the
+// program on first use. The unit is shared: treat it as read-only.
+func (p *Program) Unit() (*analysis.Unit, error) {
+	a, err := p.analyze()
+	if err != nil {
+		return nil, err
+	}
+	return a.unit, nil
+}
+
+// Price returns the static cost estimate of the program's unpinned
+// analysis, building the analysis on first use.
+func (p *Program) Price() (*analysis.PriceReport, error) {
+	a, err := p.analyze()
+	if err != nil {
+		return nil, err
+	}
+	return a.price, nil
 }
 
 type predictEntry struct {
@@ -379,6 +445,16 @@ func recoverToErr(stage string, err *error) {
 // before the build completes returns the ctx error; the build itself
 // always runs to completion and stays cached.
 func (c *Cache) Compile(ctx context.Context, src string, opts compiler.Options, stats *Stats) (*hir.Program, error) {
+	p, err := c.Program(ctx, src, opts, stats)
+	if err != nil {
+		return nil, err
+	}
+	return p.Prog, nil
+}
+
+// Program is Compile returning the whole compile-cache entry: the
+// program and its lazily built unpinned analysis, from one lookup.
+func (c *Cache) Program(ctx context.Context, src string, opts compiler.Options, stats *Stats) (*Program, error) {
 	key := compileKey(src, opts)
 	c.mu.Lock()
 	if e, ok := c.compiles[key]; ok {
@@ -390,12 +466,12 @@ func (c *Cache) Compile(ctx context.Context, src string, opts compiler.Options, 
 		cacheSpan(ctx, "compile", key, "hit")
 		select {
 		case <-e.done:
-			return e.prog, e.err
+			return e.result()
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
-	e := &compileEntry{done: make(chan struct{})}
+	e := &compileEntry{done: make(chan struct{}), prog: Program{stats: stats}}
 	e.elem = c.compileLRU.PushFront(key)
 	c.compiles[key] = e
 	c.evictCompiles()
@@ -411,7 +487,7 @@ func (c *Cache) Compile(ctx context.Context, src string, opts compiler.Options, 
 		if e.err = faults.Fire(faults.SiteCompile); e.err != nil {
 			return
 		}
-		e.prog, e.err = compiler.CompileWithContext(ctx, src, opts)
+		e.prog.Prog, e.err = compiler.CompileWithContext(ctx, src, opts)
 	}()
 	if stats != nil {
 		stats.Compiles.Add(1)
@@ -424,7 +500,15 @@ func (c *Cache) Compile(ctx context.Context, src string, opts compiler.Options, 
 		c.dropCompile(key, e)
 	}
 	close(e.done)
-	return e.prog, e.err
+	return e.result()
+}
+
+// result is a finished entry's outcome.
+func (e *compileEntry) result() (*Program, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
+	return &e.prog, nil
 }
 
 // CompiledPrediction returns the closure-compiled prediction form for
@@ -436,11 +520,7 @@ func (c *Cache) Compile(ctx context.Context, src string, opts compiler.Options, 
 func (c *Cache) CompiledPrediction(ctx context.Context, src string, copts compiler.Options, iopts core.Options, machine string, stats *Stats) (*core.Compiled, error) {
 	fp, cacheable := predictFingerprint(iopts)
 	if !cacheable {
-		prog, err := c.Compile(ctx, src, copts, stats)
-		if err != nil {
-			return nil, err
-		}
-		return buildPredict(ctx, prog, iopts, machine)
+		return c.buildPredict(ctx, src, copts, iopts, machine, stats)
 	}
 
 	key := compileKey(src, copts) + "|mach=" + machine + "|" + fp
@@ -469,15 +549,7 @@ func (c *Cache) CompiledPrediction(ctx context.Context, src string, copts compil
 		stats.PredictMisses.Add(1)
 	}
 	cacheSpan(ctx, "predict", key, "miss")
-	func() {
-		defer recoverToErr("predict", &e.err)
-		var prog *hir.Program
-		prog, e.err = c.Compile(ctx, src, copts, stats)
-		if e.err != nil {
-			return
-		}
-		e.cp, e.err = buildPredict(ctx, prog, iopts, machine)
-	}()
+	e.cp, e.err = c.buildPredict(ctx, src, copts, iopts, machine, stats)
 	if poisoned(e.err) {
 		c.dropPredict(key, e)
 	}
@@ -486,9 +558,19 @@ func (c *Cache) CompiledPrediction(ctx context.Context, src string, copts compil
 }
 
 // buildPredict resolves the machine abstraction and compiles the
-// prediction form (one calibration + SAAG build + closure compilation).
-func buildPredict(ctx context.Context, prog *hir.Program, iopts core.Options, machine string) (cp *core.Compiled, err error) {
+// prediction form over the compile entry's unpinned analysis unit (one
+// calibration + SAAG build + closure compilation; the unit is traced
+// here only if nothing, such as admission, has needed it yet).
+func (c *Cache) buildPredict(ctx context.Context, src string, copts compiler.Options, iopts core.Options, machine string, stats *Stats) (cp *core.Compiled, err error) {
 	defer recoverToErr("predict", &err)
+	p, err := c.Program(ctx, src, copts, stats)
+	if err != nil {
+		return nil, err
+	}
+	u, err := p.Unit()
+	if err != nil {
+		return nil, err
+	}
 	var mach *sysmodel.Machine
 	if machine != "" {
 		mach, err = sysmodel.MachineByName(machine)
@@ -496,7 +578,7 @@ func buildPredict(ctx context.Context, prog *hir.Program, iopts core.Options, ma
 			return nil, err
 		}
 	}
-	return core.CompilePrediction(ctx, prog, mach, iopts)
+	return core.CompilePrediction(ctx, u, mach, iopts)
 }
 
 // Interpret returns the interpretation report for (src, copts, iopts)

@@ -18,6 +18,9 @@ type Stats struct {
 	// CompileHits / CompileMisses count compile-cache lookups.
 	CompileHits   atomic.Int64
 	CompileMisses atomic.Int64
+	// Analyses counts unpinned analyses (definition trace and static
+	// price) built for compile-cache entries: at most one per entry.
+	Analyses atomic.Int64
 	// Interps counts compiled-form evaluations that actually executed
 	// (report-cache misses).
 	Interps atomic.Int64
@@ -62,6 +65,7 @@ type Snapshot struct {
 	Compiles        int64
 	CompileHits     int64
 	CompileMisses   int64
+	Analyses        int64
 	Interps         int64
 	PredictHits     int64
 	PredictMisses   int64
@@ -89,6 +93,7 @@ func (s *Stats) Snapshot() Snapshot {
 		Compiles:        s.Compiles.Load(),
 		CompileHits:     s.CompileHits.Load(),
 		CompileMisses:   s.CompileMisses.Load(),
+		Analyses:        s.Analyses.Load(),
 		Interps:         s.Interps.Load(),
 		PredictHits:     s.PredictHits.Load(),
 		PredictMisses:   s.PredictMisses.Load(),
@@ -117,6 +122,7 @@ func (s *Stats) Reset() {
 	s.Compiles.Store(0)
 	s.CompileHits.Store(0)
 	s.CompileMisses.Store(0)
+	s.Analyses.Store(0)
 	s.Interps.Store(0)
 	s.PredictHits.Store(0)
 	s.PredictMisses.Store(0)

@@ -213,6 +213,13 @@ func (e *Engine) CompileContext(ctx context.Context, src string, opts compiler.O
 	return e.cache.Compile(ctx, src, opts, e.stats)
 }
 
+// Program returns the compile-cache entry for src: the program and its
+// lazily built unpinned analysis (definition trace and static price),
+// so one lookup serves compilation, cost admission and analysis.
+func (e *Engine) Program(ctx context.Context, src string, opts compiler.Options) (*Program, error) {
+	return e.cache.Program(ctx, src, opts, e.stats)
+}
+
 // Interpret compiles (cached) and interprets (cached when the options
 // are fingerprintable) src on the default machine abstraction.
 func (e *Engine) Interpret(src string, copts compiler.Options, iopts core.Options) (*core.Report, error) {

@@ -30,7 +30,7 @@ func lintReport(t *testing.T, file string) *analysis.Report {
 	if err != nil {
 		t.Fatalf("%s: %v", file, err)
 	}
-	return analysis.NewReport(file, prog)
+	return analysis.NewReport(file, analysis.NewUnit(prog))
 }
 
 // TestGoldenLintLaplace pins hpflint's text output on the laplace
