@@ -95,25 +95,22 @@ func (t *Trace) LoopBlockers(x *hir.Loop) []Blocker {
 }
 
 // cell is one abstract scalar: a known constant or an explained unknown.
+// An unknown cell's Blocker is implied: its name is the slot's and its
+// line is the cell's, so only the reason is stored.
 type cell struct {
+	set    bool // assigned on this path
 	known  bool
+	pinned bool // value derives (transitively) from a pinned hypothesis
 	val    sem.Value
-	pinned bool    // value derives (transitively) from a pinned hypothesis
-	line   int     // defining source line (0 for initial/pinned values)
-	blk    Blocker // why the value is unknown (meaningful when !known)
+	line   int    // defining source line (0 for initial/pinned values)
+	reason string // why the value is unknown (meaningful when !known)
 }
 
-// state maps scalar names to abstract cells. A missing key means the
-// scalar was never assigned on this path.
-type state map[string]cell
+// state holds one cell per scalar slot (see tracer.slot). An unset cell
+// means the scalar was never assigned on this path.
+type state []cell
 
-func (s state) clone() state {
-	c := make(state, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
+func (s state) clone() state { return append(state(nil), s...) }
 
 func valueEq(a, b sem.Value) bool {
 	return a.Type == b.Type && a.I == b.I && a.R == b.R && a.B == b.B
@@ -122,12 +119,9 @@ func valueEq(a, b sem.Value) bool {
 // statesEqual compares the lattice content of two states (blocker
 // explanations are ignored: they do not affect convergence).
 func statesEqual(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, ca := range a {
-		cb, ok := b[k]
-		if !ok || ca.known != cb.known {
+	for i := range a {
+		ca, cb := &a[i], &b[i]
+		if ca.set != cb.set || ca.known != cb.known {
 			return false
 		}
 		if ca.known && !valueEq(ca.val, cb.val) {
@@ -148,9 +142,14 @@ const maxFixpointIters = 8
 // the sound "kill everything assigned in the body" answer.
 const traceBudget = 1 << 18
 
+// tracer numbers every scalar the program can assign, plus the pinned
+// names, into dense slots once per TraceProgram call, so a state is a
+// flat slice: cloning is a copy and meets and convergence checks are
+// one linear pass. A name outside the slots is never assigned.
 type tracer struct {
 	tr     *Trace
-	pinned map[string]bool
+	slot   map[string]int
+	pinned []bool // by slot
 	budget int
 }
 
@@ -165,34 +164,56 @@ func TraceProgram(p *hir.Program, pinned map[string]sem.Value) *Trace {
 			Whiles: make(map[*hir.While]*WhileTrace),
 			Conds:  make(map[*hir.If]*CondTrace),
 		},
-		pinned: make(map[string]bool, len(pinned)),
+		slot:   make(map[string]int),
 		budget: traceBudget,
 	}
-	s := make(state)
+	for _, n := range assignedNames(p.Body) {
+		t.slot[n] = len(t.slot)
+	}
+	for k := range pinned {
+		if _, ok := t.slot[k]; !ok {
+			t.slot[k] = len(t.slot)
+		}
+	}
+	t.pinned = make([]bool, len(t.slot))
+	s := make(state, len(t.slot))
 	for k, v := range pinned {
-		t.pinned[k] = true
-		s[k] = cell{known: true, val: v, pinned: true}
+		i := t.slot[k]
+		t.pinned[i] = true
+		s[i] = cell{set: true, known: true, val: v, pinned: true}
 	}
 	t.stmts(p.Body, s)
 	return t.tr
 }
 
+// cell returns the scalar's cell in s, or nil when it is unassigned.
+func (t *tracer) cell(s state, name string) *cell {
+	if i, ok := t.slot[name]; ok && s[i].set {
+		return &s[i]
+	}
+	return nil
+}
+
 func (t *tracer) eval(e hir.Expr, s state) (sem.Value, bool) {
 	return hir.EvalConst(e, func(name string) (sem.Value, bool) {
-		c, ok := s[name]
-		if !ok || !c.known {
+		c := t.cell(s, name)
+		if c == nil || !c.known {
 			return sem.Value{}, false
 		}
 		return c.val, true
 	})
 }
 
+// unknown is the cell of a scalar untraceable for the reason.
+func unknown(line int, reason string) cell {
+	return cell{set: true, line: line, reason: reason}
+}
+
 // kill marks a scalar untraceable with an explanation.
 func (t *tracer) kill(name string, line int, reason string, s state) {
-	if t.pinned[name] {
-		return
+	if i := t.slot[name]; !t.pinned[i] {
+		s[i] = unknown(line, reason)
 	}
-	s[name] = cell{line: line, blk: Blocker{Name: name, Line: line, Reason: reason}}
 }
 
 // meet joins two control-flow branches: values known and equal on both
@@ -200,40 +221,30 @@ func (t *tracer) kill(name string, line int, reason string, s state) {
 // names always keep their pinned value.
 func (t *tracer) meet(a, b state) state {
 	out := make(state, len(a))
-	for k, ca := range a {
-		cb, ok := b[k]
+	for i := range a {
+		ca, cb := a[i], b[i]
 		switch {
-		case t.pinned[k]:
-			out[k] = ca
-		case !ok:
-			if ca.known {
-				out[k] = cell{line: ca.line, blk: Blocker{Name: k, Line: ca.line, Reason: "assigned on only one control path"}}
-			} else {
-				out[k] = ca
-			}
+		case t.pinned[i] || !cb.set && !ca.known:
+			out[i] = ca
+		case !ca.set && !cb.known:
+			out[i] = cb
+		case !cb.set:
+			out[i] = unknown(ca.line, "assigned on only one control path")
+		case !ca.set:
+			out[i] = unknown(cb.line, "assigned on only one control path")
 		case ca.known && cb.known && valueEq(ca.val, cb.val):
 			ca.pinned = ca.pinned || cb.pinned
-			out[k] = ca
+			out[i] = ca
 		case !ca.known:
-			out[k] = ca
+			out[i] = ca
 		case !cb.known:
-			out[k] = cb
+			out[i] = cb
 		default:
 			line := cb.line
 			if line == 0 {
 				line = ca.line
 			}
-			out[k] = cell{line: line, blk: Blocker{Name: k, Line: line, Reason: "assigned a varying value"}}
-		}
-	}
-	for k, cb := range b {
-		if _, ok := a[k]; ok {
-			continue
-		}
-		if cb.known && !t.pinned[k] {
-			out[k] = cell{line: cb.line, blk: Blocker{Name: k, Line: cb.line, Reason: "assigned on only one control path"}}
-		} else {
-			out[k] = cb
+			out[i] = unknown(line, "assigned a varying value")
 		}
 	}
 	return out
@@ -253,14 +264,12 @@ func (t *tracer) blockers(es []hir.Expr, s state) []Blocker {
 				continue
 			}
 			seen[name] = true
-			c, ok := s[name]
-			if ok && c.known {
-				continue
-			}
-			if !ok {
+			c := t.cell(s, name)
+			switch {
+			case c == nil:
 				out = append(out, Blocker{Name: name, Reason: "never assigned a traceable value"})
-			} else {
-				out = append(out, c.blk)
+			case !c.known:
+				out = append(out, Blocker{Name: name, Line: c.line, Reason: c.reason})
 			}
 		}
 	}
@@ -272,15 +281,15 @@ func (t *tracer) blockers(es []hir.Expr, s state) []Blocker {
 func (t *tracer) assignBlocker(name string, x *hir.Assign, s state) Blocker {
 	b := Blocker{Name: name, Line: x.SrcLine}
 	for _, r := range hir.ScalarRefs(x.Rhs) {
-		c, ok := s[r]
-		if ok && c.known {
+		c := t.cell(s, r)
+		if c != nil && c.known {
 			continue
 		}
-		if ok && c.blk.Reason != "" {
+		if c != nil && c.reason != "" {
 			if r == name || strings.HasPrefix(r, "$") {
 				// Self-reference or compiler temporary: surface the
 				// root cause directly instead of a vacuous indirection.
-				b.Reason = c.blk.Reason
+				b.Reason = c.reason
 			} else {
 				b.Reason = fmt.Sprintf("assigned from untraced %s", r)
 			}
@@ -371,13 +380,17 @@ func (t *tracer) stmt(st hir.Stmt, s state) state {
 	switch x := st.(type) {
 	case *hir.Assign:
 		lv, ok := x.Lhs.(*hir.ScalarLV)
-		if !ok || t.pinned[lv.Name] {
+		if !ok {
+			return s
+		}
+		i := t.slot[lv.Name]
+		if t.pinned[i] {
 			return s
 		}
 		if v, ok := t.eval(x.Rhs, s); ok {
-			s[lv.Name] = cell{known: true, val: v, pinned: t.pinnedDerived(x.Rhs, s), line: x.SrcLine}
+			s[i] = cell{set: true, known: true, val: v, pinned: t.pinnedDerived(x.Rhs, s), line: x.SrcLine}
 		} else {
-			s[lv.Name] = cell{line: x.SrcLine, blk: t.assignBlocker(lv.Name, x, s)}
+			s[i] = unknown(x.SrcLine, t.assignBlocker(lv.Name, x, s).Reason)
 		}
 		return s
 	case *hir.Loop:
@@ -467,9 +480,9 @@ func (t *tracer) loop(x *hir.Loop, s state) state {
 		// The loop ran at least once: the post-loop state is the final
 		// iteration's out state; the DO index lands one step past the
 		// last executed value.
-		if !t.pinned[x.Var] {
+		if i := t.slot[x.Var]; !t.pinned[i] {
 			last := lt.Lo + lt.Trips*lt.Step
-			out[x.Var] = cell{known: true, val: sem.IntVal(int64(last)), line: x.SrcLine}
+			out[i] = cell{set: true, known: true, val: sem.IntVal(int64(last)), line: x.SrcLine}
 		}
 		return out
 	}
@@ -530,7 +543,7 @@ func (t *tracer) cond(x *hir.If, s state) state {
 // carries a value derived (transitively) from a pinned hypothesis.
 func (t *tracer) pinnedDerived(e hir.Expr, s state) bool {
 	for _, name := range hir.ScalarRefs(e) {
-		if c, ok := s[name]; ok && c.known && c.pinned {
+		if c := t.cell(s, name); c != nil && c.known && c.pinned {
 			return true
 		}
 	}
