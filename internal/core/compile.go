@@ -47,8 +47,9 @@ const traceCap = 64
 // internal tracing memo and safe for concurrent Evaluate/EvaluateWith.
 // Evaluations with no pinned values read the definition trace of the
 // analysis unit the form was compiled from, so the program's unpinned
-// trace is computed once, by whoever built the unit; the memo only holds
-// traces for pinned value sets.
+// trace is computed once, by whoever built the unit; the memo holds the
+// traces of pinned value sets (and the unpinned trace of a form built
+// without a unit).
 type Compiled struct {
 	prog  *hir.Program
 	unit  *analysis.Unit // unpinned analysis; nil for Interpreter.Interpret

@@ -3,12 +3,13 @@ package server
 // Cost-based admission control: every predict/measure request is
 // pre-priced with the static analyzer (analysis.Price over the compiled
 // program and its definition trace, both owned by the compile-cache
-// entry) before any interpretation or simulated execution runs. Two budgets apply: a per-request ceiling
-// (Config.MaxCostUnits) and an aggregate in-flight budget
-// (Config.MaxInflightCostUnits) — the priced variant of the bounded
-// queue, which distinguishes one 10^9-unit sweep from fifty 10^3-unit
-// line queries where the raw concurrency gate cannot. Rejections are
-// 429s carrying the estimate and the violated budget in the body.
+// entry) before any interpretation or simulated execution runs. Two
+// budgets apply: a per-request ceiling (Config.MaxCostUnits) and an
+// aggregate in-flight budget (Config.MaxInflightCostUnits) — the priced
+// variant of the bounded queue, which distinguishes one 10^9-unit sweep
+// from fifty 10^3-unit line queries where the raw concurrency gate
+// cannot. Rejections are 429s carrying the estimate and the violated
+// budget in the body.
 
 import (
 	"fmt"
