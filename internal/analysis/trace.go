@@ -276,34 +276,28 @@ func (t *tracer) blockers(es []hir.Expr, s state) []Blocker {
 	return out
 }
 
-// assignBlocker explains why one scalar assignment is untraceable,
+// assignReason explains why one scalar assignment is untraceable,
 // propagating the root cause through compiler temporaries.
-func (t *tracer) assignBlocker(name string, x *hir.Assign, s state) Blocker {
-	b := Blocker{Name: name, Line: x.SrcLine}
+func (t *tracer) assignReason(name string, x *hir.Assign, s state) string {
 	for _, r := range hir.ScalarRefs(x.Rhs) {
 		c := t.cell(s, r)
 		if c != nil && c.known {
 			continue
 		}
-		if c != nil && c.reason != "" {
-			if r == name || strings.HasPrefix(r, "$") {
-				// Self-reference or compiler temporary: surface the
-				// root cause directly instead of a vacuous indirection.
-				b.Reason = c.reason
-			} else {
-				b.Reason = fmt.Sprintf("assigned from untraced %s", r)
-			}
-			return b
+		if c == nil || c.reason == "" {
+			return fmt.Sprintf("assigned from undefined %s", r)
 		}
-		b.Reason = fmt.Sprintf("assigned from undefined %s", r)
-		return b
+		if r == name || strings.HasPrefix(r, "$") {
+			// Self-reference or compiler temporary: surface the root
+			// cause directly instead of a vacuous indirection.
+			return c.reason
+		}
+		return fmt.Sprintf("assigned from untraced %s", r)
 	}
 	if exprReadsElem(x.Rhs) {
-		b.Reason = "assigned from array element data"
-		return b
+		return "assigned from array element data"
 	}
-	b.Reason = "assigned from run-time data"
-	return b
+	return "assigned from run-time data"
 }
 
 func exprReadsElem(e hir.Expr) bool {
@@ -390,7 +384,7 @@ func (t *tracer) stmt(st hir.Stmt, s state) state {
 		if v, ok := t.eval(x.Rhs, s); ok {
 			s[i] = cell{set: true, known: true, val: v, pinned: t.pinnedDerived(x.Rhs, s), line: x.SrcLine}
 		} else {
-			s[i] = unknown(x.SrcLine, t.assignBlocker(lv.Name, x, s).Reason)
+			s[i] = unknown(x.SrcLine, t.assignReason(lv.Name, x, s))
 		}
 		return s
 	case *hir.Loop:
