@@ -199,9 +199,9 @@ func (s *Server) handleBatch(ctx context.Context, body []byte) (any, *apiError) 
 		p := &req.Points[i]
 		var aerr *apiError
 		if p.Predict != nil {
-			results[i].Predict, aerr = s.evalPredict(ctx, p.Predict)
+			results[i].Predict, aerr = s.evalPredict(ctx, progs[i], p.Predict)
 		} else {
-			results[i].Measure, aerr = s.evalMeasure(ctx, p.Measure, progs[i].Prog)
+			results[i].Measure, aerr = s.evalMeasure(ctx, p.Measure, progs[i])
 		}
 		if aerr != nil {
 			results[i].Predict, results[i].Measure = nil, nil

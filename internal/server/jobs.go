@@ -22,7 +22,6 @@ import (
 	"hpfperf/internal/experiments"
 	"hpfperf/internal/jobs"
 	"hpfperf/internal/obs"
-	"hpfperf/internal/report"
 	"hpfperf/internal/sweep"
 	"hpfperf/internal/sysmodel"
 )
@@ -360,27 +359,17 @@ func (s *Server) executeJob(ctx context.Context, job jobs.JobView, env jobs.Exec
 	return json.Marshal(resp)
 }
 
+// runJobPredict is evalPredict without cost admission. It returns the
+// pipeline's own error, so the journaled failure text and its errors.Is
+// classification are those of the failing stage.
 func (s *Server) runJobPredict(ctx context.Context, req *PredictRequest) (*PredictResponse, error) {
-	copts := req.Options.compilerOptions()
-	rep, err := s.eng.InterpretMachine(ctx, req.Machine, req.Source, copts, req.Options.coreOptions())
+	prog, err := s.eng.Program(ctx, req.Source, req.Options.compilerOptions())
 	if err != nil {
 		return nil, err
 	}
-	resp := &PredictResponse{
-		Program:  rep.Program,
-		Procs:    rep.Procs,
-		EstUS:    rep.TotalUS(),
-		Seconds:  rep.EstimatedSeconds(),
-		CompUS:   rep.Total.CompUS,
-		CommUS:   rep.Total.CommUS,
-		OvhdUS:   rep.Total.OvhdUS,
-		Warnings: rep.Warnings,
-	}
-	if req.Profile {
-		resp.Profile = report.Profile(rep)
-	}
-	if req.HotLines > 0 {
-		resp.HotLines = report.HotLines(rep, req.HotLines)
+	resp, aerr := s.evalPredict(ctx, prog, req)
+	if aerr != nil {
+		return nil, aerr.err
 	}
 	return resp, nil
 }

@@ -32,8 +32,10 @@ type Config struct {
 	// Engine evaluates requests (worker pool + bounded cache); nil
 	// creates a private engine with CacheEntries capacity.
 	Engine *sweep.Engine
-	// CacheEntries bounds the private engine's LRU cache (<= 0 uses
-	// sweep.DefaultCacheEntries). Ignored when Engine is set.
+	// CacheEntries bounds the compile entries of the private engine's
+	// LRU cache (<= 0 uses sweep.DefaultCacheEntries); each entry holds
+	// the forms, reports and measurements derived from its program.
+	// Ignored when Engine is set.
 	CacheEntries int
 	// Workers bounds the private engine's pool (<= 0 = GOMAXPROCS).
 	// Ignored when Engine is set.
@@ -559,11 +561,12 @@ func validatePredict(req *PredictRequest) *apiError {
 }
 
 // evalPredict runs the interpretation pipeline for one validated,
-// compiled and cost-admitted predict request. ElapsedUS is left zero:
-// the synchronous handler stamps wall time afterwards, while batch
-// points and async jobs keep the deterministic form.
-func (s *Server) evalPredict(ctx context.Context, req *PredictRequest) (*PredictResponse, *apiError) {
-	rep, err := s.eng.InterpretMachine(ctx, req.Machine, req.Source, req.Options.compilerOptions(), req.Options.coreOptions())
+// compiled and cost-admitted predict request on its compile entry.
+// ElapsedUS is left zero: the synchronous handler stamps wall time
+// afterwards, while batch points and async jobs keep the deterministic
+// form.
+func (s *Server) evalPredict(ctx context.Context, prog *sweep.Program, req *PredictRequest) (*PredictResponse, *apiError) {
+	rep, err := prog.Interpret(ctx, req.Options.coreOptions(), req.Machine, s.eng.Stats())
 	if err != nil {
 		return nil, ctxErr(err, http.StatusUnprocessableEntity, "interpret")
 	}
@@ -610,7 +613,7 @@ func (s *Server) handlePredict(ctx context.Context, body []byte) (any, *apiError
 		return nil, aerr
 	}
 	defer releaseCost()
-	resp, aerr := s.evalPredict(ctx, &req)
+	resp, aerr := s.evalPredict(ctx, prog, &req)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -673,20 +676,20 @@ func measureSpec(req *MeasureRequest, prog *hir.Program) (sweep.MeasureSpec, *ap
 }
 
 // evalMeasure runs the simulated-execution pipeline for one validated,
-// compiled and cost-admitted measure request. ElapsedUS is left zero
-// (see evalPredict).
-func (s *Server) evalMeasure(ctx context.Context, req *MeasureRequest, prog *hir.Program) (*MeasureResponse, *apiError) {
-	spec, aerr := measureSpec(req, prog)
+// compiled and cost-admitted measure request on its compile entry.
+// ElapsedUS is left zero (see evalPredict).
+func (s *Server) evalMeasure(ctx context.Context, req *MeasureRequest, prog *sweep.Program) (*MeasureResponse, *apiError) {
+	spec, aerr := measureSpec(req, prog.Prog)
 	if aerr != nil {
 		return nil, aerr
 	}
-	res, err := s.eng.MeasureContext(ctx, req.Source, compiler.Options{}, spec)
+	res, err := prog.Measure(ctx, spec, s.eng.Stats())
 	if err != nil {
 		return nil, ctxErr(err, http.StatusUnprocessableEntity, "execute")
 	}
 	return &MeasureResponse{
-		Program:    prog.Name,
-		Procs:      prog.Info.Grid.Size(),
+		Program:    prog.Prog.Name,
+		Procs:      prog.Prog.Info.Grid.Size(),
 		MeasuredUS: res.MeasuredUS,
 		Seconds:    res.MeasuredUS / 1e6,
 		RunsUS:     res.RunsUS,
@@ -716,7 +719,7 @@ func (s *Server) handleMeasure(ctx context.Context, body []byte) (any, *apiError
 		return nil, aerr
 	}
 	defer releaseCost()
-	resp, aerr := s.evalMeasure(ctx, &req, prog.Prog)
+	resp, aerr := s.evalMeasure(ctx, &req, prog)
 	if aerr != nil {
 		return nil, aerr
 	}

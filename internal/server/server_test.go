@@ -421,3 +421,32 @@ END`
 		}
 	}
 }
+
+// TestLookupCountsPerRequest pins the sweep lookups one request makes:
+// a handler hashes its source once, for the compile entry, and builds
+// or reuses everything else on that entry. Internal re-lookups would
+// show up here as extra compile hits.
+func TestLookupCountsPerRequest(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	type counts struct{ compileHit, compileMiss, predictHit, predictMiss, reportHit, reportMiss, execHit, execMiss int64 }
+	check := func(step string, want counts) {
+		t.Helper()
+		snap := s.Engine().Snapshot()
+		got := counts{snap.CompileHits, snap.CompileMisses, snap.PredictHits, snap.PredictMisses,
+			snap.ReportHits, snap.ReportMisses, snap.ExecHits, snap.ExecMisses}
+		if got != want {
+			t.Fatalf("%s: lookups %+v, want %+v", step, got, want)
+		}
+	}
+	for i, step := range []string{"cold predict", "repeated predict"} {
+		if resp, body := post(t, ts.URL+"/v1/predict", PredictRequest{Source: tinyProgram}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d: %s", step, resp.StatusCode, body)
+		}
+		n := int64(i)
+		check(step, counts{compileHit: n, compileMiss: 1, predictMiss: 1, reportHit: n, reportMiss: 1})
+	}
+	if resp, body := post(t, ts.URL+"/v1/measure", MeasureRequest{Source: tinyProgram, Runs: 1}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("measure: %d: %s", resp.StatusCode, body)
+	}
+	check("measure", counts{compileHit: 2, compileMiss: 1, predictMiss: 1, reportHit: 1, reportMiss: 1, execMiss: 1})
+}

@@ -24,104 +24,274 @@ import (
 	"hpfperf/internal/sysmodel"
 )
 
-// DefaultCacheEntries bounds each of the cache's two maps (compiled
-// programs and interpretation reports) when no explicit capacity is
-// given. The bound keeps a long-running process (hpfserve) from growing
-// without limit while still holding every artifact of a full experiment
-// reproduction.
+// DefaultCacheEntries bounds the cache's compile entries when no
+// explicit capacity is given. Everything derived from a program lives
+// under its entry, so the bound caps the whole cache: it keeps a
+// long-running process (hpfserve) from growing without limit while
+// still holding every artifact of a full experiment reproduction.
 const DefaultCacheEntries = 4096
 
-// Cache memoizes the results of the compilation pipeline (and of whole
-// interpretation runs) across sweep points. It is safe for concurrent
-// use; a key being built by one worker blocks other workers asking for
-// the same key (single-flight), so each distinct (source, options) pair
-// is compiled exactly once no matter how many workers race for it.
-// Waiters park on the builder's completion channel and honor their own
-// context, so a cancelled request stops waiting without disturbing the
-// build.
+// entryArtifacts bounds each derived kind (prediction forms, reports,
+// measurements) within one entry. Past it, the entry drops its own
+// least recently used artifact of that kind, so one program queried
+// with many option variants never pushes other programs out. A cache of
+// n entries holds at most n × (1 + 3·entryArtifacts) artifacts.
+const entryArtifacts = 16
+
+// Cache memoizes the compilation pipeline and everything derived from
+// its output across sweep points. It is one bounded LRU of compile
+// entries (*Program), keyed by source hash and compile options. Each
+// entry owns every artifact derived from its program: the unpinned
+// analysis (definition trace and static price), the closure-compiled
+// prediction forms (*core.Compiled, keyed by machine and the static
+// interpretation options only, so one form serves every
+// Values/TripCounts combination through its EvaluateWith path), whole
+// interpretation reports (*core.Report), and simulated-execution
+// results (*exec.Result — the simulator is deterministic for a fixed
+// MeasureSpec, which is what makes measurement memoizable at all).
 //
-// Four artifact kinds are cached, one bounded map each: compiled
-// programs (*Program: the *hir.Program plus its unpinned analysis,
-// built on first use), closure-compiled prediction forms
-// (*core.Compiled, keyed by the static interpretation options only, so
-// one form serves every Values/TripCounts combination through its
-// EvaluateWith path), whole interpretation reports
-// (*core.Report), and simulated-execution results (*exec.Result — the
-// simulator is deterministic for a fixed MeasureSpec, which is what
-// makes measurement memoizable at all).
+// Every artifact is a single-flight cell: a key being built by one
+// worker blocks other workers asking for the same key, so each distinct
+// (source, options) pair is built exactly once no matter how many
+// workers race for it. Waiters park on the builder's completion channel
+// and honor their own context, so a cancelled request stops waiting
+// without disturbing the build. The cache is safe for concurrent use.
 //
-// The cache is a bounded LRU: each map holds at most cap entries and
-// evicts the least recently used entry beyond that, counting evictions.
-// Evicted entries remain valid for goroutines already holding them;
-// only the memoization is lost.
+// The cache holds at most cap entries and evicts the least recently
+// used entry beyond that, together with everything derived from it;
+// touching any artifact touches its entry. Evictions are counted per
+// kind. Evicted entries and artifacts remain valid for goroutines
+// already holding them; only the memoization is lost.
 //
-// Cached values are shared between callers: all four kinds are treated
-// as immutable after construction everywhere in this module (the
+// Cached values are shared between callers: all kinds are treated as
+// immutable after construction everywhere in this module (the
 // simulator, the evaluators and the report renderers only read them),
 // which is what makes the memoization sound.
 type Cache struct {
-	mu         sync.Mutex
-	cap        int
-	compiles   map[string]*compileEntry
-	compileLRU *list.List // of string keys; front = most recent
-	predicts   map[string]*predictEntry
-	predictLRU *list.List
-	reports    map[string]*reportEntry
-	reportLRU  *list.List
-	measures   map[string]*measureEntry
-	measureLRU *list.List
-
-	compileEvictions atomic.Int64
-	predictEvictions atomic.Int64
-	reportEvictions  atomic.Int64
-	measureEvictions atomic.Int64
+	mu       sync.Mutex
+	cap      int
+	programs table[*Program]
+	// live counts the artifacts of each kind held by live entries;
+	// evictions counts the ones evicted.
+	live      [numKinds]int
+	evictions [numKinds]int64
 }
 
 // NewCache returns an empty cache bounded at DefaultCacheEntries
-// entries per map.
+// entries.
 func NewCache() *Cache { return NewCacheSize(DefaultCacheEntries) }
 
-// NewCacheSize returns an empty cache holding at most n compiled
-// programs and n interpretation reports (n <= 0 selects the default).
+// NewCacheSize returns an empty cache holding at most n compile entries
+// (n <= 0 selects the default), each with at most 16 artifacts of every
+// derived kind.
 func NewCacheSize(n int) *Cache {
 	if n <= 0 {
 		n = DefaultCacheEntries
 	}
-	return &Cache{
-		cap:        n,
-		compiles:   make(map[string]*compileEntry),
-		compileLRU: list.New(),
-		predicts:   make(map[string]*predictEntry),
-		predictLRU: list.New(),
-		reports:    make(map[string]*reportEntry),
-		reportLRU:  list.New(),
-		measures:   make(map[string]*measureEntry),
-		measureLRU: list.New(),
+	return &Cache{cap: n}
+}
+
+// kind is one memoized artifact kind. The four kinds share one lookup
+// path and differ in their lookup counters, their cache.lookup span
+// kind and the stage a recovered panic names.
+type kind int
+
+const (
+	kindCompile kind = iota
+	kindForm
+	kindReport
+	kindMeasure
+	numKinds
+)
+
+var (
+	kindSpan  = [numKinds]string{"compile", "predict", "report", "exec"}
+	kindStage = [numKinds]string{"compile", "predict", "interpret", "execute"}
+)
+
+// lookups returns the hit and miss counters of kind k.
+func (s *Stats) lookups(k kind) (hit, miss *atomic.Int64) {
+	switch k {
+	case kindCompile:
+		return &s.CompileHits, &s.CompileMisses
+	case kindForm:
+		return &s.PredictHits, &s.PredictMisses
+	case kindReport:
+		return &s.ReportHits, &s.ReportMisses
+	}
+	return &s.ExecHits, &s.ExecMisses
+}
+
+// cell is the cache's one single-flight slot. The caller that creates
+// it builds the value (fill); every other caller waits for it (wait).
+// val and err are written once, under Cache.mu, before done closes.
+type cell[T any] struct {
+	key  string
+	done chan struct{}
+	val  T
+	err  error
+	elem *list.Element // position in its table's LRU; nil once evicted or dropped
+}
+
+// wait returns the cell's outcome once it is final, or ctx's error if
+// ctx ends first.
+func (cl *cell[T]) wait(ctx context.Context) (T, error) {
+	select {
+	case <-cl.done:
+		return cl.val, cl.err
+	case <-ctx.Done():
+		var zero T
+		return zero, ctx.Err()
 	}
 }
 
-type compileEntry struct {
-	done chan struct{} // closed when prog/err are final
-	elem *list.Element // LRU position; nil once evicted
-	prog Program
-	err  error
+// fill runs build for a cell its caller created and publishes the
+// outcome. A panic becomes a *PanicError naming stage (recoverToErr).
+// A poisoned outcome is handed to unlink (called under c.mu) so that
+// the next caller rebuilds.
+func (cl *cell[T]) fill(c *Cache, stage string, build func() (T, error), unlink func()) (T, error) {
+	var v T
+	var err error
+	func() {
+		defer recoverToErr(stage, &err)
+		v, err = build()
+	}()
+	c.mu.Lock()
+	cl.val, cl.err = v, err
+	if poisoned(err) {
+		unlink()
+	}
+	c.mu.Unlock()
+	close(cl.done)
+	return v, err
 }
 
-// Program is one compile-cache entry's program together with its
-// unpinned analysis: the definition trace run with no pinned values
-// (analysis.NewUnit) and the static price of that trace
-// (analysis.Price). The analysis is built on first use, at most once
-// per entry, and shared by every consumer — the cost-admission gate,
-// the closure-compiled prediction form (whose evaluations without
-// pinned values read the unit's trace) and /v1/analyze — so a cold
-// program is traced once. It is evicted together with the entry.
+// table is a bounded LRU of cells by key: the cache's compile entries,
+// and each entry's artifacts of one derived kind. The caller holds
+// Cache.mu.
+type table[T any] struct {
+	cells map[string]*cell[T]
+	lru   list.List // of *cell[T]; front = most recent
+}
+
+// add inserts a new, unbuilt cell for key as the most recent.
+func (t *table[T]) add(key string) *cell[T] {
+	if t.cells == nil {
+		t.cells = make(map[string]*cell[T])
+	}
+	cl := &cell[T]{key: key, done: make(chan struct{})}
+	t.cells[key] = cl
+	cl.elem = t.lru.PushFront(cl)
+	return cl
+}
+
+// remove unlinks a cell that is still in the table.
+func (t *table[T]) remove(cl *cell[T]) {
+	delete(t.cells, cl.key)
+	t.lru.Remove(cl.elem)
+	cl.elem = nil
+}
+
+// lookup is the cache's one lookup path. It returns key's value in t,
+// the table of kind k in entry owner (nil when t is the cache's own
+// table of entries), and on a miss builds it with build, at most once
+// per live key. A lookup touches the entry it lands in, and a new cell
+// pushes its table's least recently used one out past the table's
+// bound; an evicted entry takes its artifacts along. Cancelled,
+// deadline, transient and panicked builds are not kept. Cells added to
+// or dropped from an entry that was evicted meanwhile leave the live
+// counts alone.
+func lookup[T any](ctx context.Context, c *Cache, owner *Program, t *table[T], k kind, key string, stats *Stats, build func(*cell[T]) (T, error)) (T, error) {
+	live := func() bool { return owner == nil || owner.entry.elem != nil }
+	c.mu.Lock()
+	if owner != nil && live() {
+		c.programs.lru.MoveToFront(owner.entry.elem)
+	}
+	cl, hit := t.cells[key]
+	if hit {
+		t.lru.MoveToFront(cl.elem)
+	} else {
+		cl = t.add(key)
+		limit := entryArtifacts
+		if owner == nil {
+			limit = c.cap
+		}
+		if live() {
+			c.live[k]++
+		}
+		for len(t.cells) > limit {
+			old := t.lru.Back().Value.(*cell[T])
+			t.remove(old)
+			if live() {
+				c.live[k]--
+				c.evictions[k]++
+			}
+			if p, ok := any(old.val).(*Program); ok && p != nil {
+				c.evictDerived(p)
+			}
+		}
+	}
+	c.mu.Unlock()
+
+	outcome, spanKey := "miss", key
+	if hit {
+		outcome = "hit"
+	}
+	if stats != nil {
+		hits, misses := stats.lookups(k)
+		if hit {
+			hits.Add(1)
+		} else {
+			misses.Add(1)
+		}
+	}
+	if owner != nil {
+		spanKey = owner.entry.key
+	}
+	cacheSpan(ctx, kindSpan[k], spanKey, outcome)
+	if hit {
+		return cl.wait(ctx)
+	}
+	return cl.fill(c, kindStage[k], func() (T, error) { return build(cl) }, func() {
+		if cl.elem != nil {
+			t.remove(cl)
+			if live() {
+				c.live[k]--
+			}
+		}
+	})
+}
+
+// evictDerived accounts for the artifacts of evicted entry p, which
+// leave the cache with it (caller holds c.mu).
+func (c *Cache) evictDerived(p *Program) {
+	held := [numKinds]int{kindForm: len(p.forms.cells), kindReport: len(p.reports.cells), kindMeasure: len(p.measures.cells)}
+	for k, n := range held {
+		c.live[k] -= n
+		c.evictions[k] += int64(n)
+	}
+}
+
+// Program is one compile entry: the compiled program and everything
+// derived from it. Its unpinned analysis — the definition trace run with
+// no pinned values (analysis.NewUnit) and the static price of that trace
+// (analysis.Price) — is built on first use, at most once per entry, and
+// shared by every consumer: the cost-admission gate, the prediction
+// forms (whose evaluations without pinned values read the unit's trace)
+// and /v1/analyze, so a cold program is traced once. Form, Interpret and
+// Measure build and memoize the entry's other artifacts without hashing
+// the source again. All of it is evicted together with the entry.
 type Program struct {
 	// Prog is the compiled program (immutable, shared).
 	Prog *hir.Program
 
-	stats *Stats                   // counts analysis builds; may be nil
-	mu    sync.Mutex               // serializes the first analysis build
-	res   atomic.Pointer[analyzed] // nil until a build succeeds
+	c        *Cache
+	entry    *cell[*Program]  // this entry's cell in c.programs
+	stats    *Stats           // counts analysis builds; may be nil
+	analysis *cell[*analyzed] // nil until a build starts or after one panicked (guarded by c.mu)
+	forms    table[*core.Compiled]
+	reports  table[*core.Report]
+	measures table[*exec.Result]
 }
 
 type analyzed struct {
@@ -130,25 +300,25 @@ type analyzed struct {
 }
 
 // analyze returns the program's analysis, building it on first use. A
-// build that panics returns a *PanicError and memoizes nothing, so the
-// next caller rebuilds.
-func (p *Program) analyze() (a *analyzed, err error) {
-	if a = p.res.Load(); a != nil {
-		return a, nil
+// build that panics returns a *PanicError and keeps nothing, so the next
+// caller rebuilds.
+func (p *Program) analyze() (*analyzed, error) {
+	p.c.mu.Lock()
+	if cl := p.analysis; cl != nil {
+		p.c.mu.Unlock()
+		return cl.wait(context.Background())
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if a = p.res.Load(); a != nil {
-		return a, nil
-	}
-	defer recoverToErr("analyze", &err)
-	u := analysis.NewUnit(p.Prog)
-	a = &analyzed{unit: u, price: analysis.Price(u)}
-	p.res.Store(a)
-	if p.stats != nil {
+	cl := &cell[*analyzed]{done: make(chan struct{})}
+	p.analysis = cl
+	p.c.mu.Unlock()
+	a, err := cl.fill(p.c, "analyze", func() (*analyzed, error) {
+		u := analysis.NewUnit(p.Prog)
+		return &analyzed{unit: u, price: analysis.Price(u)}, nil
+	}, func() { p.analysis = nil })
+	if err == nil && p.stats != nil {
 		p.stats.Analyses.Add(1)
 	}
-	return a, nil
+	return a, err
 }
 
 // Unit returns the program's unpinned analysis unit, tracing the
@@ -171,29 +341,11 @@ func (p *Program) Price() (*analysis.PriceReport, error) {
 	return a.price, nil
 }
 
-type predictEntry struct {
-	done chan struct{}
-	elem *list.Element
-	cp   *core.Compiled
-	err  error
-}
-
-type reportEntry struct {
-	done chan struct{}
-	elem *list.Element
-	rep  *core.Report
-	err  error
-}
-
-type measureEntry struct {
-	done chan struct{}
-	elem *list.Element
-	res  *exec.Result
-	err  error
-}
-
 // CacheStats is a point-in-time view of the cache occupancy and its
-// eviction counters (served by hpfserve's /metrics).
+// eviction counters (served by hpfserve's /metrics). CompileEntries
+// counts entries; the other Entries fields count the artifacts of that
+// kind held by them. An artifact evicted with its entry counts as an
+// eviction of its own kind.
 type CacheStats struct {
 	Cap              int
 	CompileEntries   int
@@ -206,20 +358,20 @@ type CacheStats struct {
 	MeasureEvictions int64
 }
 
-// Stats returns the cache occupancy and eviction counters.
+// CacheStats returns the cache occupancy and eviction counters.
 func (c *Cache) CacheStats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
 		Cap:              c.cap,
-		CompileEntries:   len(c.compiles),
-		PredictEntries:   len(c.predicts),
-		ReportEntries:    len(c.reports),
-		MeasureEntries:   len(c.measures),
-		CompileEvictions: c.compileEvictions.Load(),
-		PredictEvictions: c.predictEvictions.Load(),
-		ReportEvictions:  c.reportEvictions.Load(),
-		MeasureEvictions: c.measureEvictions.Load(),
+		CompileEntries:   c.live[kindCompile],
+		PredictEntries:   c.live[kindForm],
+		ReportEntries:    c.live[kindReport],
+		MeasureEntries:   c.live[kindMeasure],
+		CompileEvictions: c.evictions[kindCompile],
+		PredictEvictions: c.evictions[kindForm],
+		ReportEvictions:  c.evictions[kindReport],
+		MeasureEvictions: c.evictions[kindMeasure],
 	}
 }
 
@@ -286,136 +438,6 @@ func interpFingerprint(opts core.Options) (string, bool) {
 	return b.String(), true
 }
 
-// touch moves an LRU element to the front (caller holds c.mu).
-func touch(lru *list.List, elem *list.Element) {
-	if elem != nil {
-		lru.MoveToFront(elem)
-	}
-}
-
-// evictCompiles trims the compile map to cap (caller holds c.mu).
-func (c *Cache) evictCompiles() {
-	for len(c.compiles) > c.cap {
-		back := c.compileLRU.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(string)
-		if e, ok := c.compiles[key]; ok {
-			e.elem = nil
-			delete(c.compiles, key)
-		}
-		c.compileLRU.Remove(back)
-		c.compileEvictions.Add(1)
-	}
-}
-
-// evictPredicts trims the compiled-prediction map to cap (caller holds
-// c.mu).
-func (c *Cache) evictPredicts() {
-	for len(c.predicts) > c.cap {
-		back := c.predictLRU.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(string)
-		if e, ok := c.predicts[key]; ok {
-			e.elem = nil
-			delete(c.predicts, key)
-		}
-		c.predictLRU.Remove(back)
-		c.predictEvictions.Add(1)
-	}
-}
-
-// evictMeasures trims the measurement map to cap (caller holds c.mu).
-func (c *Cache) evictMeasures() {
-	for len(c.measures) > c.cap {
-		back := c.measureLRU.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(string)
-		if e, ok := c.measures[key]; ok {
-			e.elem = nil
-			delete(c.measures, key)
-		}
-		c.measureLRU.Remove(back)
-		c.measureEvictions.Add(1)
-	}
-}
-
-// evictReports trims the report map to cap (caller holds c.mu).
-func (c *Cache) evictReports() {
-	for len(c.reports) > c.cap {
-		back := c.reportLRU.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(string)
-		if e, ok := c.reports[key]; ok {
-			e.elem = nil
-			delete(c.reports, key)
-		}
-		c.reportLRU.Remove(back)
-		c.reportEvictions.Add(1)
-	}
-}
-
-// dropReport removes a report entry if it still maps to e (used to
-// un-cache results poisoned by the builder's context).
-func (c *Cache) dropReport(key string, e *reportEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.reports[key]; ok && cur == e {
-		delete(c.reports, key)
-		if e.elem != nil {
-			c.reportLRU.Remove(e.elem)
-			e.elem = nil
-		}
-	}
-}
-
-// dropPredict removes a compiled-prediction entry if it still maps to e.
-func (c *Cache) dropPredict(key string, e *predictEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.predicts[key]; ok && cur == e {
-		delete(c.predicts, key)
-		if e.elem != nil {
-			c.predictLRU.Remove(e.elem)
-			e.elem = nil
-		}
-	}
-}
-
-// dropMeasure removes a measurement entry if it still maps to e.
-func (c *Cache) dropMeasure(key string, e *measureEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.measures[key]; ok && cur == e {
-		delete(c.measures, key)
-		if e.elem != nil {
-			c.measureLRU.Remove(e.elem)
-			e.elem = nil
-		}
-	}
-}
-
-// dropCompile removes a compile entry if it still maps to e (used to
-// un-cache panicked or fault-injected builds).
-func (c *Cache) dropCompile(key string, e *compileEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.compiles[key]; ok && cur == e {
-		delete(c.compiles, key)
-		if e.elem != nil {
-			c.compileLRU.Remove(e.elem)
-			e.elem = nil
-		}
-	}
-}
-
 // poisoned reports whether a build error must not be memoized:
 // cancellations are the requester's failure, and transient failures
 // (recovered panics, injected faults) may succeed on rebuild. Only
@@ -452,121 +474,83 @@ func (c *Cache) Compile(ctx context.Context, src string, opts compiler.Options, 
 	return p.Prog, nil
 }
 
-// Program is Compile returning the whole compile-cache entry: the
-// program and its lazily built unpinned analysis, from one lookup.
+// Program is Compile returning the whole compile entry: the program
+// and, built on first use, its unpinned analysis and derived artifacts.
+// Deterministic compile errors stay cached (they fail identically every
+// time); panicked, fault-injected and cancelled builds do not.
 func (c *Cache) Program(ctx context.Context, src string, opts compiler.Options, stats *Stats) (*Program, error) {
-	key := compileKey(src, opts)
-	c.mu.Lock()
-	if e, ok := c.compiles[key]; ok {
-		touch(c.compileLRU, e.elem)
-		c.mu.Unlock()
-		if stats != nil {
-			stats.CompileHits.Add(1)
+	return lookup(ctx, c, nil, &c.programs, kindCompile, compileKey(src, opts), stats, func(cl *cell[*Program]) (*Program, error) {
+		start := time.Now()
+		defer func() {
+			if stats != nil {
+				stats.Compiles.Add(1)
+				stats.CompileNS.Add(int64(time.Since(start)))
+			}
+		}()
+		if err := faults.Fire(faults.SiteCompile); err != nil {
+			return nil, err
 		}
-		cacheSpan(ctx, "compile", key, "hit")
-		select {
-		case <-e.done:
-			return e.result()
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		prog, err := compiler.CompileWithContext(ctx, src, opts)
+		if err != nil {
+			return nil, err
 		}
-	}
-	e := &compileEntry{done: make(chan struct{}), prog: Program{stats: stats}}
-	e.elem = c.compileLRU.PushFront(key)
-	c.compiles[key] = e
-	c.evictCompiles()
-	c.mu.Unlock()
-
-	if stats != nil {
-		stats.CompileMisses.Add(1)
-	}
-	cacheSpan(ctx, "compile", key, "miss")
-	start := time.Now()
-	func() {
-		defer recoverToErr("compile", &e.err)
-		if e.err = faults.Fire(faults.SiteCompile); e.err != nil {
-			return
-		}
-		e.prog.Prog, e.err = compiler.CompileWithContext(ctx, src, opts)
-	}()
-	if stats != nil {
-		stats.Compiles.Add(1)
-		stats.CompileNS.Add(int64(time.Since(start)))
-	}
-	if poisoned(e.err) {
-		// A panicked or fault-injected build must not pin its key: the
-		// next request rebuilds. Deterministic compile errors stay
-		// cached (they will fail identically every time).
-		c.dropCompile(key, e)
-	}
-	close(e.done)
-	return e.result()
-}
-
-// result is a finished entry's outcome.
-func (e *compileEntry) result() (*Program, error) {
-	if e.err != nil {
-		return nil, e.err
-	}
-	return &e.prog, nil
+		return &Program{Prog: prog, c: c, entry: cl, stats: stats}, nil
+	})
 }
 
 // CompiledPrediction returns the closure-compiled prediction form for
-// (src, copts, static iopts) on the named machine abstraction, built at
-// most once per live key. The form is shared and concurrency-safe, so
-// sweeps that vary only Values/TripCounts evaluate one form with
-// EvaluateWith. Uncacheable options (injected CommLibrary) build a
-// private form.
+// (src, copts, static iopts) on the named machine abstraction: the
+// compile entry's Form.
 func (c *Cache) CompiledPrediction(ctx context.Context, src string, copts compiler.Options, iopts core.Options, machine string, stats *Stats) (*core.Compiled, error) {
-	fp, cacheable := predictFingerprint(iopts)
-	if !cacheable {
-		return c.buildPredict(ctx, src, copts, iopts, machine, stats)
-	}
-
-	key := compileKey(src, copts) + "|mach=" + machine + "|" + fp
-	c.mu.Lock()
-	if e, ok := c.predicts[key]; ok {
-		touch(c.predictLRU, e.elem)
-		c.mu.Unlock()
-		if stats != nil {
-			stats.PredictHits.Add(1)
-		}
-		cacheSpan(ctx, "predict", key, "hit")
-		select {
-		case <-e.done:
-			return e.cp, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	e := &predictEntry{done: make(chan struct{})}
-	e.elem = c.predictLRU.PushFront(key)
-	c.predicts[key] = e
-	c.evictPredicts()
-	c.mu.Unlock()
-
-	if stats != nil {
-		stats.PredictMisses.Add(1)
-	}
-	cacheSpan(ctx, "predict", key, "miss")
-	e.cp, e.err = c.buildPredict(ctx, src, copts, iopts, machine, stats)
-	if poisoned(e.err) {
-		c.dropPredict(key, e)
-	}
-	close(e.done)
-	return e.cp, e.err
-}
-
-// buildPredict resolves the machine abstraction and compiles the
-// prediction form over the compile entry's unpinned analysis unit (one
-// calibration + SAAG build + closure compilation; the unit is traced
-// here only if nothing, such as admission, has needed it yet).
-func (c *Cache) buildPredict(ctx context.Context, src string, copts compiler.Options, iopts core.Options, machine string, stats *Stats) (cp *core.Compiled, err error) {
-	defer recoverToErr("predict", &err)
 	p, err := c.Program(ctx, src, copts, stats)
 	if err != nil {
 		return nil, err
 	}
+	return p.Form(ctx, iopts, machine, stats)
+}
+
+// Interpret returns the interpretation report for (src, copts, iopts)
+// on the named machine abstraction: the compile entry's Interpret.
+func (c *Cache) Interpret(ctx context.Context, src string, copts compiler.Options, iopts core.Options, machine string, stats *Stats) (*core.Report, error) {
+	p, err := c.Program(ctx, src, copts, stats)
+	if err != nil {
+		return nil, err
+	}
+	return p.Interpret(ctx, iopts, machine, stats)
+}
+
+// Measure returns the simulated-execution result for (src, copts,
+// spec): the compile entry's Measure.
+func (c *Cache) Measure(ctx context.Context, src string, copts compiler.Options, spec MeasureSpec, stats *Stats) (*exec.Result, error) {
+	p, err := c.Program(ctx, src, copts, stats)
+	if err != nil {
+		return nil, err
+	}
+	return p.Measure(ctx, spec, stats)
+}
+
+// Form returns the entry's closure-compiled prediction form for the
+// static options of iopts on the named machine abstraction ("" =
+// iPSC/860 default), built at most once per live key. The form is
+// shared and concurrency-safe, so sweeps that vary only
+// Values/TripCounts evaluate one form with EvaluateWith. Uncacheable
+// options (injected CommLibrary) build a private form.
+func (p *Program) Form(ctx context.Context, iopts core.Options, machine string, stats *Stats) (cp *core.Compiled, err error) {
+	fp, cacheable := predictFingerprint(iopts)
+	if !cacheable {
+		defer recoverToErr("predict", &err)
+		return p.buildForm(ctx, iopts, machine)
+	}
+	return lookup(ctx, p.c, p, &p.forms, kindForm, "mach="+machine+"|"+fp, stats, func(*cell[*core.Compiled]) (*core.Compiled, error) {
+		return p.buildForm(ctx, iopts, machine)
+	})
+}
+
+// buildForm resolves the machine abstraction and compiles the
+// prediction form over the entry's unpinned analysis unit (one
+// calibration + SAAG build + closure compilation; the unit is traced
+// here only if nothing, such as admission, has needed it yet).
+func (p *Program) buildForm(ctx context.Context, iopts core.Options, machine string) (*core.Compiled, error) {
 	u, err := p.Unit()
 	if err != nil {
 		return nil, err
@@ -581,77 +565,33 @@ func (c *Cache) buildPredict(ctx context.Context, src string, copts compiler.Opt
 	return core.CompilePrediction(ctx, u, mach, iopts)
 }
 
-// Interpret returns the interpretation report for (src, copts, iopts)
-// on the named machine abstraction ("" = iPSC/860 default), memoizing
-// whole reports when the options are fingerprintable. Compilation
-// always goes through the compile cache, and every report miss, traced
-// or not, evaluates the compiled prediction form. The builder honors
-// ctx: a report whose construction was cancelled is dropped from the
-// cache so a later request rebuilds it.
-func (c *Cache) Interpret(ctx context.Context, src string, copts compiler.Options, iopts core.Options, machine string, stats *Stats) (*core.Report, error) {
+// Interpret returns the entry's interpretation report for iopts on the
+// named machine abstraction ("" = iPSC/860 default), memoizing whole
+// reports when the options are fingerprintable. Every report miss,
+// traced or not, evaluates the entry's prediction form. The builder
+// honors ctx: a report whose construction was cancelled is dropped so
+// a later request rebuilds it.
+func (p *Program) Interpret(ctx context.Context, iopts core.Options, machine string, stats *Stats) (*core.Report, error) {
 	fp, cacheable := interpFingerprint(iopts)
 	if !cacheable {
-		if _, err := c.Compile(ctx, src, copts, stats); err != nil {
+		return p.interpret(ctx, iopts, machine, stats)
+	}
+	return lookup(ctx, p.c, p, &p.reports, kindReport, "mach="+machine+"|"+fp, stats, func(*cell[*core.Report]) (*core.Report, error) {
+		if err := faults.Fire(faults.SiteCache); err != nil {
 			return nil, err
 		}
-		return c.interpret(ctx, src, copts, iopts, machine, stats)
-	}
-
-	key := compileKey(src, copts) + "|mach=" + machine + "|" + fp
-	c.mu.Lock()
-	if e, ok := c.reports[key]; ok {
-		touch(c.reportLRU, e.elem)
-		c.mu.Unlock()
-		if stats != nil {
-			stats.ReportHits.Add(1)
-		}
-		cacheSpan(ctx, "report", key, "hit")
-		select {
-		case <-e.done:
-			return e.rep, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	e := &reportEntry{done: make(chan struct{})}
-	e.elem = c.reportLRU.PushFront(key)
-	c.reports[key] = e
-	c.evictReports()
-	c.mu.Unlock()
-
-	if stats != nil {
-		stats.ReportMisses.Add(1)
-	}
-	cacheSpan(ctx, "report", key, "miss")
-	func() {
-		defer recoverToErr("interpret", &e.err)
-		if e.err = faults.Fire(faults.SiteCache); e.err != nil {
-			return
-		}
-		if _, e.err = c.Compile(ctx, src, copts, stats); e.err != nil {
-			return
-		}
-		e.rep, e.err = c.interpret(ctx, src, copts, iopts, machine, stats)
-	}()
-	if poisoned(e.err) {
-		// A cancelled, panicked or fault-injected build is the attempt's
-		// failure, not the key's: don't poison the cache with it.
-		c.dropReport(key, e)
-	}
-	close(e.done)
-	return e.rep, e.err
+		return p.interpret(ctx, iopts, machine, stats)
+	})
 }
 
-// interpret evaluates the compiled prediction form under iopts'
+// interpret evaluates the prediction form under iopts'
 // Values/TripCounts. Its interp span covers the form lookup or build and
 // the evaluation; the interpret stage time counts the evaluation only.
-// The caller has already compiled src, so the compile span stays outside
-// the interp span.
-func (c *Cache) interpret(ctx context.Context, src string, copts compiler.Options, iopts core.Options, machine string, stats *Stats) (rep *core.Report, err error) {
+func (p *Program) interpret(ctx context.Context, iopts core.Options, machine string, stats *Stats) (rep *core.Report, err error) {
 	defer recoverToErr("interpret", &err)
 	ictx, span := obs.Start(ctx, "interp")
 	defer span.End()
-	cp, err := c.CompiledPrediction(ictx, src, copts, iopts, machine, stats)
+	cp, err := p.Form(ictx, iopts, machine, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -710,55 +650,17 @@ func (sp MeasureSpec) fingerprint() string {
 		sp.Machine, sp.Runs, sp.PerturbAmp, sp.TimerResUS, sp.Seed, sp.CacheModel)
 }
 
-// Measure returns the simulated-execution result for (src, copts, spec),
+// Measure returns the entry's simulated-execution result for spec,
 // running the simulator at most once per live key. Results are shared
 // and must be treated as immutable by callers. A cancelled, panicked or
-// fault-injected run is dropped from the cache so a later request
-// re-executes it.
-func (c *Cache) Measure(ctx context.Context, src string, copts compiler.Options, spec MeasureSpec, stats *Stats) (*exec.Result, error) {
+// fault-injected run is dropped so a later request re-executes it.
+func (p *Program) Measure(ctx context.Context, spec MeasureSpec, stats *Stats) (*exec.Result, error) {
 	if spec.Runs <= 0 {
 		spec.Runs = 1 // normalize before keying so runs=0 and runs=1 share
 	}
-	key := compileKey(src, copts) + "|" + spec.fingerprint()
-	c.mu.Lock()
-	if e, ok := c.measures[key]; ok {
-		touch(c.measureLRU, e.elem)
-		c.mu.Unlock()
-		if stats != nil {
-			stats.ExecHits.Add(1)
-		}
-		cacheSpan(ctx, "exec", key, "hit")
-		select {
-		case <-e.done:
-			return e.res, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	e := &measureEntry{done: make(chan struct{})}
-	e.elem = c.measureLRU.PushFront(key)
-	c.measures[key] = e
-	c.evictMeasures()
-	c.mu.Unlock()
-
-	if stats != nil {
-		stats.ExecMisses.Add(1)
-	}
-	cacheSpan(ctx, "exec", key, "miss")
-	func() {
-		defer recoverToErr("execute", &e.err)
-		var prog *hir.Program
-		prog, e.err = c.Compile(ctx, src, copts, stats)
-		if e.err != nil {
-			return
-		}
-		e.res, e.err = runExec(ctx, prog, spec, stats)
-	}()
-	if poisoned(e.err) {
-		c.dropMeasure(key, e)
-	}
-	close(e.done)
-	return e.res, e.err
+	return lookup(ctx, p.c, p, &p.measures, kindMeasure, spec.fingerprint(), stats, func(*cell[*exec.Result]) (*exec.Result, error) {
+		return runExec(ctx, p.Prog, spec, stats)
+	})
 }
 
 // runExec builds the simulated machine for spec and executes prog on it.
@@ -796,12 +698,12 @@ func runExec(ctx context.Context, prog *hir.Program, spec MeasureSpec, stats *St
 
 // cacheSpan records one cache probe as an instant cache.lookup span.
 // No-op (one nil check inside Start) when the context is untraced.
-func cacheSpan(ctx context.Context, kind, key, outcome string) {
+func cacheSpan(ctx context.Context, kindName, key, outcome string) {
 	_, s := obs.Start(ctx, "cache.lookup")
 	if s == nil {
 		return
 	}
-	s.SetAttr("kind", kind)
+	s.SetAttr("kind", kindName)
 	s.SetAttr("outcome", outcome)
 	if len(key) > 32 {
 		key = key[:32]
@@ -810,10 +712,10 @@ func cacheSpan(ctx context.Context, kind, key, outcome string) {
 	s.End()
 }
 
-// Len reports how many compiled programs the cache holds (for tests and
+// Len reports how many compile entries the cache holds (for tests and
 // diagnostics).
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.compiles)
+	return len(c.programs.cells)
 }

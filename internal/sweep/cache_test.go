@@ -118,10 +118,8 @@ func TestCompileWaiterHonorsContext(t *testing.T) {
 	c := NewCacheSize(8)
 	src := tinySource(0)
 	key := compileKey(src, compiler.Options{})
-	e := &compileEntry{done: make(chan struct{})} // never closed
 	c.mu.Lock()
-	e.elem = c.compileLRU.PushFront(key)
-	c.compiles[key] = e
+	c.programs.add(key) // never filled
 	c.mu.Unlock()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)

@@ -213,9 +213,10 @@ func (e *Engine) CompileContext(ctx context.Context, src string, opts compiler.O
 	return e.cache.Compile(ctx, src, opts, e.stats)
 }
 
-// Program returns the compile-cache entry for src: the program and its
-// lazily built unpinned analysis (definition trace and static price),
-// so one lookup serves compilation, cost admission and analysis.
+// Program returns the compile-cache entry for src: the program, its
+// lazily built unpinned analysis (definition trace and static price)
+// and the artifacts its Form, Interpret and Measure derive, so one
+// lookup serves compilation, cost admission, analysis and evaluation.
 func (e *Engine) Program(ctx context.Context, src string, opts compiler.Options) (*Program, error) {
 	return e.cache.Program(ctx, src, opts, e.stats)
 }

@@ -129,7 +129,7 @@ func TestSharedUnitConcurrentPriceAndPredict(t *testing.T) {
 // caller rebuilds.
 func TestProgramAnalysisPanicNotMemoized(t *testing.T) {
 	var stats Stats
-	p := &Program{stats: &stats} // no program: the tracer panics
+	p := &Program{c: NewCacheSize(1), stats: &stats} // no program: the tracer panics
 	_, err := p.Unit()
 	var pe *PanicError
 	if !errors.As(err, &pe) {
