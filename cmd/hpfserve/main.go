@@ -13,9 +13,9 @@
 // SIGTERM hands running jobs back to the queue for the next generation.
 // GET /v1/jobs/{id}/events streams each job's state transitions and
 // checkpoint progress as server-sent events, with Last-Event-ID resume.
-// Requests share one bounded worker pool and one bounded LRU
-// compile/report cache, honor per-request deadlines, and drain
-// gracefully on SIGINT/SIGTERM.
+// Requests share one bounded worker pool and one bounded LRU cache of
+// compiled programs, each holding the artifacts derived from it; they
+// honor per-request deadlines and drain gracefully on SIGINT/SIGTERM.
 //
 // Usage:
 //
@@ -47,7 +47,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-		cacheSize  = flag.Int("cache", 0, "LRU cache capacity in entries per kind (0 = default)")
+		cacheSize  = flag.Int("cache", 0, "LRU cache capacity in compiled programs, each holding its derived artifacts (0 = default)")
 		maxBody    = flag.Int64("max-body", 1<<20, "request body size cap in bytes")
 		maxConc    = flag.Int("max-concurrent", 0, "simultaneous request cap (0 = 4x workers)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "default per-request timeout")

@@ -4,10 +4,10 @@
 // query predictions per source line and per directive variant during
 // development (§4.2, §5.2) — and this package is the serving stack for
 // that workflow: POST /v1/predict (interpret), /v1/measure (simulated
-// execution), /v1/autotune (directive search), with a bounded LRU
-// compile/report cache, per-request deadlines and cooperative
-// cancellation, a concurrency gate, request-size caps, panic recovery
-// and graceful drain.
+// execution), /v1/autotune (directive search), with one bounded LRU
+// cache of compiled programs and their derived artifacts, per-request
+// deadlines and cooperative cancellation, a concurrency gate,
+// request-size caps, panic recovery and graceful drain.
 package server
 
 import (

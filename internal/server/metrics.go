@@ -248,7 +248,7 @@ func (m *metrics) render(b *strings.Builder, snap sweep.Snapshot, cs sweep.Cache
 	fmt.Fprintf(b, "sweep_cache_entries{kind=\"predict\"} %d\n", cs.PredictEntries)
 	fmt.Fprintf(b, "sweep_cache_entries{kind=\"report\"} %d\n", cs.ReportEntries)
 	fmt.Fprintf(b, "sweep_cache_entries{kind=\"exec\"} %d\n", cs.MeasureEntries)
-	fmt.Fprintf(b, "# HELP sweep_cache_capacity_entries Per-kind LRU capacity.\n")
+	fmt.Fprintf(b, "# HELP sweep_cache_capacity_entries LRU capacity in compile entries; each holds at most 16 artifacts per derived kind.\n")
 	fmt.Fprintf(b, "# TYPE sweep_cache_capacity_entries gauge\n")
 	fmt.Fprintf(b, "sweep_cache_capacity_entries %d\n", cs.Cap)
 	fmt.Fprintf(b, "# HELP sweep_cache_evictions_total LRU evictions by kind.\n")
