@@ -167,12 +167,11 @@ func TestCacheStatsMatchRecountAfterChurn(t *testing.T) {
 	for _, cl := range c.programs.cells {
 		recount[kindCompile]++
 		if p := cl.val; p != nil {
-			recount[kindForm] += len(p.forms.cells)
-			recount[kindReport] += len(p.reports.cells)
-			recount[kindMeasure] += len(p.measures.cells)
-			for k, n := range []int{len(p.forms.cells), len(p.reports.cells), len(p.measures.cells)} {
+			held := [numKinds]int{kindForm: len(p.forms.cells), kindReport: len(p.reports.cells), kindMeasure: len(p.measures.cells)}
+			for k, n := range held {
+				recount[k] += n
 				if n > entryArtifacts {
-					t.Errorf("entry holds %d artifacts of kind %d, bound is %d", n, k+1, entryArtifacts)
+					t.Errorf("entry holds %d artifacts of kind %d, bound is %d", n, k, entryArtifacts)
 				}
 			}
 		}
