@@ -387,23 +387,7 @@ func (s *Server) runJobAutotune(ctx context.Context, req *AutotuneRequest, env j
 	if err != nil {
 		return nil, err
 	}
-	resp := &AutotuneResponse{}
-	for i, c := range cands {
-		if req.Limit > 0 && i >= req.Limit {
-			break
-		}
-		ac := AutotuneCandidate{Desc: c.Desc()}
-		if c.Err != nil {
-			ac.Error = c.Err.Error()
-		} else {
-			ac.EstUS = c.EstUS
-		}
-		resp.Candidates = append(resp.Candidates, ac)
-	}
-	if req.IncludeSource && len(cands) > 0 && cands[0].Err == nil {
-		resp.BestSource = cands[0].Source
-	}
-	return resp, nil
+	return autotuneResponse(req, cands), nil
 }
 
 func (s *Server) runJobValidate(ctx context.Context, req *ValidateJobRequest, env jobs.ExecEnv, flushEvery int) (*ValidateJobResult, error) {

@@ -751,7 +751,16 @@ func (s *Server) handleAutotune(ctx context.Context, body []byte) (any, *apiErro
 	if err != nil {
 		return nil, ctxErr(err, http.StatusBadRequest, "search")
 	}
-	resp := &AutotuneResponse{ElapsedUS: float64(time.Since(start)) / float64(time.Microsecond)}
+	resp := autotuneResponse(&req, cands)
+	resp.ElapsedUS = float64(time.Since(start)) / float64(time.Microsecond)
+	return resp, nil
+}
+
+// autotuneResponse renders ranked candidates as the response body: the
+// list truncated to req.Limit, and the best variant's rewritten program
+// when requested. ElapsedUS is left zero (see evalPredict).
+func autotuneResponse(req *AutotuneRequest, cands []autotune.Candidate) *AutotuneResponse {
+	resp := &AutotuneResponse{}
 	for i, c := range cands {
 		if req.Limit > 0 && i >= req.Limit {
 			break
@@ -767,7 +776,7 @@ func (s *Server) handleAutotune(ctx context.Context, body []byte) (any, *apiErro
 	if req.IncludeSource && len(cands) > 0 && cands[0].Err == nil {
 		resp.BestSource = cands[0].Source
 	}
-	return resp, nil
+	return resp
 }
 
 func (s *Server) handleAnalyze(ctx context.Context, body []byte) (any, *apiError) {
