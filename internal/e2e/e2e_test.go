@@ -1,6 +1,6 @@
 // Package e2e boots the full hpfserve stack in-process and drives it
 // through the public hpfclient — the same path an external consumer
-// takes: client → HTTP → gate/breaker → pipeline → response. It pins
+// takes: client → HTTP → admission gate → pipeline → response. It pins
 // the end-to-end contracts no single-package test can: every route
 // round-trips through the client types, traced requests return
 // well-formed span trees, and a drained server leaks no goroutines.
@@ -286,7 +286,7 @@ func TestTracedWorkloadUnderChaos(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	h := newHarness(t,
-		server.Config{TraceAll: true, BreakerThreshold: -1},
+		server.Config{TraceAll: true},
 		hpfclient.Config{Trace: true, Retry: hpfclient.RetryPolicy{
 			MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond,
 		}})

@@ -237,9 +237,9 @@ func TestAdmissionPriceMatchesPricer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			price, aerr := priceOf(entry)
-			if aerr != nil {
-				t.Fatal(aerr.err)
+			price, err := entry.Price()
+			if err != nil {
+				t.Fatal(err)
 			}
 			if got := compactJSON(t, price); got != want {
 				t.Errorf("program %d: admission price\n got %s\nwant %s", i, got, want)

@@ -6,14 +6,16 @@
 // that workflow: POST /v1/predict (interpret), /v1/measure (simulated
 // execution), /v1/autotune (directive search), with one bounded LRU
 // cache of compiled programs and their derived artifacts, per-request
-// deadlines and cooperative cancellation, a concurrency gate,
-// request-size caps, panic recovery and graceful drain.
+// deadlines and cooperative cancellation, one admission gate (drain,
+// worker slots, static cost budgets), request-size caps, panic recovery
+// and graceful drain.
 package server
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"time"
 
 	"hpfperf/internal/analysis"
 	"hpfperf/internal/compiler"
@@ -220,15 +222,15 @@ type AnalyzeResponse struct {
 }
 
 // ErrorResponse is the body of every non-2xx API response. RequestID
-// and TraceID are present on every response path — including shed
-// (429), breaker-open, and drain rejections — so a refused request is
-// still correlatable with server logs and traces.
+// and TraceID are present on every response path — including the
+// admission gate's shed (429), cost (429) and drain (503) refusals — so
+// a refused request is still correlatable with server logs and traces.
 type ErrorResponse struct {
 	Error string `json:"error"`
 	// Stage names the pipeline stage that failed ("decode", "compile",
 	// "interpret", "execute", "search", "deadline", "internal",
-	// "overload" for shed/breaker/drain rejections, "transient" for
-	// retryable failures worth resubmitting).
+	// "overload" for shed/drain refusals, "admission" for cost
+	// refusals, "transient" for retryable failures worth resubmitting).
 	Stage string `json:"stage,omitempty"`
 	// RequestID identifies the request in the server logs.
 	RequestID string `json:"request_id,omitempty"`
@@ -274,13 +276,16 @@ func writeError(w http.ResponseWriter, status int, stage string, err error, meta
 
 // apiError carries an HTTP status and stage label through a handler.
 // estCost/costLimit are set by the cost-admission gate so its 429s can
-// carry the static estimate in the response body.
+// carry the static estimate in the response body. retryAfter is the
+// Retry-After hint of a 429 or 503 (zero and anything under a second
+// advertise one second).
 type apiError struct {
-	status    int
-	stage     string
-	err       error
-	estCost   float64
-	costLimit float64
+	status     int
+	stage      string
+	err        error
+	estCost    float64
+	costLimit  float64
+	retryAfter time.Duration
 }
 
 func (e *apiError) Error() string { return fmt.Sprintf("%s: %v", e.stage, e.err) }

@@ -158,28 +158,9 @@ func (s *Server) handleBatch(ctx context.Context, body []byte) (any, *apiError) 
 	// reserved against the in-flight budget in a single admission — one
 	// decision for the whole table, with the aggregate estimate on a
 	// rejection.
-	release := func() {}
-	if s.cfg.MaxCostUnits > 0 || s.cfg.MaxInflightCostUnits > 0 {
-		var aggregate float64
-		for i, prog := range progs {
-			if prog == nil {
-				continue
-			}
-			price, aerr := priceOf(prog)
-			if aerr == nil {
-				aerr = s.ceiling(price)
-			}
-			if aerr != nil {
-				fail(i, aerr)
-				progs[i] = nil
-				continue
-			}
-			aggregate += price.CostUnits
-		}
-		var aerr *apiError
-		if release, aerr = s.admitUnits("batch", aggregate); aerr != nil {
-			return nil, aerr
-		}
+	release, aerr := s.admitCost("batch", fail, progs...)
+	if aerr != nil {
+		return nil, aerr
 	}
 	defer release()
 

@@ -27,10 +27,11 @@ import (
 )
 
 // handleJobEvents serves GET /v1/jobs/{id}/events. It sits outside the
-// api() wrapper (the gate and breaker are sized for request/response
-// work, not long-lived streams) but registers with the drain group so
-// Shutdown waits for streams to tear down — which they do promptly,
-// because jobs.Drain closes every subscription first.
+// api() wrapper (worker slots and cost budgets are sized for
+// request/response work, not long-lived streams) but passes the
+// admission gate's drain check, which registers it with the drain
+// group, so Shutdown waits for streams to tear down — which they do
+// promptly, because jobs.Drain closes every subscription first.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	meta := s.jobMeta(w, r)
 	if s.jobsDisabled(w, meta) {
@@ -75,7 +76,14 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sub.Cancel()
 
-	s.inflight.Add(1)
+	// The drain check follows Subscribe, so once jobs.Drain has run the
+	// refusal is still the ErrDraining one above.
+	if aerr := s.enter(); aerr != nil {
+		s.recordRequest(routeEvents, aerr.status)
+		retryAfterHeader(w, aerr.retryAfter)
+		writeError(w, aerr.status, aerr.stage, aerr.err, meta)
+		return
+	}
 	defer s.inflight.Done()
 	s.met.sseStreams.Add(1)
 	defer s.met.sseStreams.Add(-1)

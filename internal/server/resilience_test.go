@@ -1,18 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"hpfperf/internal/faults"
+	"hpfperf/internal/jobs"
 	"hpfperf/internal/sweep"
 )
 
@@ -147,69 +150,6 @@ func TestQueueWaitExpiryShed(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBreakerOpensAndRecovers drives a route to threshold consecutive
-// 500s via fault injection, asserts the breaker opens (503 overload
-// without invoking the pipeline), then waits out the cooldown with
-// faults off and asserts a half-open probe closes it again.
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	const threshold = 3
-	withServerFaults(t, "server.predict:1:error", 1)
-	_, ts := newTestServer(t, Config{
-		BreakerThreshold: threshold,
-		BreakerCooldown:  100 * time.Millisecond,
-	})
-	body := map[string]any{"source": tinyProgram}
-
-	for i := 0; i < threshold; i++ {
-		resp, raw := post(t, ts.URL+"/v1/predict", body)
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("request %d: status = %d body %s, want 500", i, resp.StatusCode, raw)
-		}
-	}
-	// The breaker is now open: next request is refused without running
-	// the handler (stage "overload", Retry-After set).
-	resp, raw := post(t, ts.URL+"/v1/predict", body)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("post-threshold status = %d body %s, want 503", resp.StatusCode, raw)
-	}
-	var er ErrorResponse
-	if json.Unmarshal(raw, &er) != nil || er.Stage != "overload" || !strings.Contains(er.Error, "circuit breaker") {
-		t.Errorf("breaker rejection body = %s", raw)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("breaker rejection missing Retry-After")
-	}
-
-	// Other routes are unaffected (per-route breakers).
-	if resp, raw := post(t, ts.URL+"/v1/analyze", map[string]any{"source": tinyProgram}); resp.StatusCode != http.StatusOK {
-		t.Errorf("analyze status = %d body %s while predict breaker open", resp.StatusCode, raw)
-	}
-
-	// The open state is visible in /metrics.
-	metrics := string(mustReadAll(t, ts.URL+"/metrics"))
-	if !strings.Contains(metrics, `hpfserve_breaker_state{route="predict"} 2`) {
-		t.Errorf("metrics do not show predict breaker open:\n%s", grepLines(metrics, "breaker"))
-	}
-
-	// Heal the route and wait out the cooldown: the half-open probe
-	// succeeds and the breaker closes.
-	faults.Deactivate()
-	time.Sleep(150 * time.Millisecond)
-	if resp, raw := post(t, ts.URL+"/v1/predict", body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("probe status = %d body %s, want 200", resp.StatusCode, raw)
-	}
-	if resp, raw := post(t, ts.URL+"/v1/predict", body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-recovery status = %d body %s, want 200", resp.StatusCode, raw)
-	}
-	metrics = string(mustReadAll(t, ts.URL+"/metrics"))
-	if !strings.Contains(metrics, `hpfserve_breaker_state{route="predict"} 0`) {
-		t.Errorf("breaker did not close after successful probe:\n%s", grepLines(metrics, "breaker"))
-	}
-	if !strings.Contains(metrics, `hpfserve_breaker_opens_total{route="predict"} 1`) {
-		t.Errorf("open transition not counted:\n%s", grepLines(metrics, "breaker"))
-	}
-}
-
 func grepLines(s, substr string) string {
 	var out []string
 	for _, line := range strings.Split(s, "\n") {
@@ -218,23 +158,6 @@ func grepLines(s, substr string) string {
 		}
 	}
 	return strings.Join(out, "\n")
-}
-
-// TestBreakerIgnoresClientErrors: 4xx responses must not open the
-// breaker — only internal (500) failures count.
-func TestBreakerIgnoresClientErrors(t *testing.T) {
-	const threshold = 2
-	_, ts := newTestServer(t, Config{BreakerThreshold: threshold})
-	for i := 0; i < threshold*3; i++ {
-		resp, _ := post(t, ts.URL+"/v1/predict", map[string]any{"source": ""})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status = %d, want 400", resp.StatusCode)
-		}
-	}
-	resp, raw := post(t, ts.URL+"/v1/predict", map[string]any{"source": tinyProgram})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d body %s after client errors, want 200 (breaker must stay closed)", resp.StatusCode, raw)
-	}
 }
 
 // TestTypedPanicClassification is the satellite fix for the brittle
@@ -271,7 +194,7 @@ func TestTypedPanicClassification(t *testing.T) {
 // handler's recover path end to end and is counted in /metrics.
 func TestInjectedServerPanicRecovered(t *testing.T) {
 	withServerFaults(t, "server.analyze:1:panic", 3)
-	_, ts := newTestServer(t, Config{BreakerThreshold: -1})
+	_, ts := newTestServer(t, Config{})
 	resp, raw := post(t, ts.URL+"/v1/analyze", map[string]any{"source": tinyProgram})
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status = %d body %s, want 500 from injected panic", resp.StatusCode, raw)
@@ -315,10 +238,11 @@ func TestDrainRejectionAdvertisesRetryAfter(t *testing.T) {
 }
 
 // TestRefusalsCarryCorrelationIDs is the regression test for the
-// request-ID gap: shed (429), breaker-open (503), and drain (503)
-// refusals used to omit request_id/trace_id, leaving refused requests
-// uncorrelatable with server logs. Every refusal path must now carry
-// both fields in the body and the X-HPF-Request-Id header.
+// request-ID gap: shed (429) and drain (503) refusals used to omit
+// request_id/trace_id, leaving refused requests uncorrelatable with
+// server logs. Every refusal path — the gate's drain, shed and cost
+// refusals, 405s and handler 500s — must carry both fields in the body
+// and the X-HPF-Request-Id header.
 func TestRefusalsCarryCorrelationIDs(t *testing.T) {
 	checkIDs := func(t *testing.T, resp *http.Response, raw []byte) {
 		t.Helper()
@@ -380,26 +304,53 @@ func TestRefusalsCarryCorrelationIDs(t *testing.T) {
 		}
 	})
 
-	t.Run("breaker-open-503", func(t *testing.T) {
-		const threshold = 2
+	t.Run("internal-500", func(t *testing.T) {
 		withServerFaults(t, "server.predict:1:error", 7)
-		_, ts := newTestServer(t, Config{
-			BreakerThreshold: threshold,
-			BreakerCooldown:  time.Minute,
-		})
-		body := map[string]any{"source": tinyProgram}
-		for i := 0; i < threshold; i++ {
-			resp, raw := post(t, ts.URL+"/v1/predict", body)
-			if resp.StatusCode != http.StatusInternalServerError {
-				t.Fatalf("request %d: status = %d body %s, want 500", i, resp.StatusCode, raw)
-			}
-			checkIDs(t, resp, raw) // 500s carry IDs too
+		_, ts := newTestServer(t, Config{})
+		resp, raw := post(t, ts.URL+"/v1/predict", map[string]any{"source": tinyProgram})
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("status = %d body %s, want 500", resp.StatusCode, raw)
 		}
-		resp, raw := post(t, ts.URL+"/v1/predict", body)
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("post-threshold status = %d body %s, want 503", resp.StatusCode, raw)
+		checkIDs(t, resp, raw) // 500s carry IDs too
+	})
+
+	// checkCostRefusal asserts the shape of a cost-admission 429: IDs,
+	// the admission stage, Retry-After and the estimate against limit.
+	checkCostRefusal := func(t *testing.T, resp *http.Response, raw []byte, limit float64) {
+		t.Helper()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("status = %d body %s, want 429", resp.StatusCode, raw)
 		}
 		checkIDs(t, resp, raw)
+		if got := resp.Header.Get("Retry-After"); got != "1" {
+			t.Errorf("Retry-After = %q, want 1", got)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(raw, &er); err != nil {
+			t.Fatal(err)
+		}
+		if er.Stage != "admission" {
+			t.Errorf("stage = %q, want admission", er.Stage)
+		}
+		if er.EstimatedCostUnits <= limit || er.CostLimitUnits != limit {
+			t.Errorf("estimate %g against limit %g, want an estimate over the %g limit", er.EstimatedCostUnits, er.CostLimitUnits, limit)
+		}
+	}
+
+	t.Run("cost-ceiling-429", func(t *testing.T) {
+		_, ts := newTestServer(t, Config{MaxCostUnits: 1})
+		resp, raw := post(t, ts.URL+"/v1/predict", map[string]any{"source": tinyProgram})
+		checkCostRefusal(t, resp, raw, 1)
+	})
+
+	t.Run("inflight-budget-429", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{MaxInflightCostUnits: 1})
+		// Occupy part of the budget so the idle-budget rule does not
+		// admit the request.
+		s.met.costInflightMilli.Store(500)
+		defer s.met.costInflightMilli.Store(0)
+		resp, raw := post(t, ts.URL+"/v1/predict", map[string]any{"source": tinyProgram})
+		checkCostRefusal(t, resp, raw, 1)
 	})
 
 	t.Run("drain-503", func(t *testing.T) {
@@ -431,16 +382,126 @@ func TestRefusalsCarryCorrelationIDs(t *testing.T) {
 	})
 }
 
-func TestBreakerStateString(t *testing.T) {
-	cases := map[BreakerState]string{
-		BreakerClosed:   "closed",
-		BreakerHalfOpen: "half-open",
-		BreakerOpen:     "open",
-		BreakerState(9): "unknown",
+// TestShutdownRacesNewRequests: a request that arrives while Shutdown
+// runs is either served, and waited for, or refused as draining. None
+// may join the drain group after Shutdown has begun to wait on it: that
+// is a data race on the WaitGroup, can panic with "WaitGroup is reused
+// before previous Wait has returned", and lets Shutdown return with the
+// request still in flight. The events variant registers SSE streams
+// through the same step.
+func TestShutdownRacesNewRequests(t *testing.T) {
+	const rounds, callers = 20, 8
+	predict, err := json.Marshal(PredictRequest{Source: tinyProgram})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for s, want := range cases {
-		if got := s.String(); got != want {
-			t.Errorf("BreakerState(%d).String() = %q, want %q", s, got, want)
+	race := func(t *testing.T, s *Server, newReq func() *http.Request) {
+		h := s.Handler()
+		stop := make(chan struct{})
+		var wg, running sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			running.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := 0; ; n++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, newReq())
+					if rec.Code != http.StatusOK && rec.Code != http.StatusServiceUnavailable {
+						t.Errorf("status %d during shutdown: %s", rec.Code, rec.Body)
+					}
+					if n == 0 {
+						running.Done()
+					}
+				}
+			}()
 		}
+		// Shut down only once every caller is sending.
+		running.Wait()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+		if n := s.met.inflight.Load(); n != 0 {
+			t.Errorf("%d requests in flight after Shutdown returned", n)
+		}
+		close(stop)
+		wg.Wait()
+	}
+
+	t.Run("api", func(t *testing.T) {
+		// The servers share an engine, so only the first round compiles.
+		eng := sweep.New(sweep.Options{})
+		for round := 0; round < rounds; round++ {
+			race(t, New(Config{Engine: eng}), func() *http.Request {
+				return httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(predict))
+			})
+		}
+	})
+
+	t.Run("events", func(t *testing.T) {
+		// Every round's fresh server opens the same journal and streams
+		// the job the first round finished, replayed from it.
+		dir := t.TempDir()
+		var id string
+		for round := 0; round < rounds; round++ {
+			s := New(Config{})
+			if err := s.OpenJobs(jobs.Config{Dir: dir}); err != nil {
+				t.Fatal(err)
+			}
+			if id == "" {
+				payload, err := json.Marshal(JobSubmitRequest{Kind: JobKindPredict, Predict: &PredictRequest{Source: tinyProgram}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				view, err := s.Jobs().Submit(JobKindPredict, payload, jobs.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sub, err := s.Jobs().Subscribe(view.ID, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ev := range sub.C {
+					if ev.Terminal {
+						break
+					}
+				}
+				sub.Cancel()
+				id = view.ID
+			}
+			race(t, s, func() *http.Request {
+				return httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/events", nil)
+			})
+		}
+	})
+}
+
+// TestHealedRouteServesAtOnce: a route that failed every request serves
+// again with the first request after it heals, and other routes are
+// never refused on its account. No failure history holds it shut.
+func TestHealedRouteServesAtOnce(t *testing.T) {
+	withServerFaults(t, "server.measure:1:error", 1)
+	_, ts := newTestServer(t, Config{})
+	measure := MeasureRequest{Source: tinyProgram, NoPerturb: true}
+	for i := 0; i < 10; i++ {
+		resp, raw := post(t, ts.URL+"/v1/measure", measure)
+		var er ErrorResponse
+		if resp.StatusCode != http.StatusInternalServerError || json.Unmarshal(raw, &er) != nil || er.Stage != "internal" {
+			t.Fatalf("measure %d under the fault: status %d body %s, want a 500 internal", i, resp.StatusCode, raw)
+		}
+	}
+	faults.Deactivate()
+	if resp, raw := post(t, ts.URL+"/v1/measure", measure); resp.StatusCode != http.StatusOK {
+		t.Errorf("first measure after the fault cleared: status %d body %s, want 200", resp.StatusCode, raw)
+	}
+	if resp, raw := post(t, ts.URL+"/v1/predict", PredictRequest{Source: tinyProgram}); resp.StatusCode != http.StatusOK {
+		t.Errorf("predict after the fault cleared: status %d body %s, want 200", resp.StatusCode, raw)
 	}
 }

@@ -65,13 +65,6 @@ type Config struct {
 	// admitted when no priced work is in flight, so a single request
 	// larger than the budget cannot starve.
 	MaxInflightCostUnits float64
-	// BreakerThreshold is the consecutive internal-failure (HTTP 500)
-	// count that opens a route's circuit breaker (0 = 8, < 0 disables
-	// the breakers).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker sheds a route before
-	// admitting a half-open probe (<= 0 = 5s).
-	BreakerCooldown time.Duration
 	// MaxBatchPoints caps how many points one POST /v1/batch request may
 	// carry (<= 0 = 1024). Larger tables should split; each sub-batch
 	// still shares compiles through the engine cache.
@@ -105,18 +98,18 @@ type Config struct {
 // Server is the hpfserve HTTP API. Create with New, expose with
 // Handler, and drain with Shutdown before process exit.
 type Server struct {
-	cfg      Config
-	eng      *sweep.Engine
-	mux      *http.ServeMux
-	sem      chan struct{}
-	met      *metrics
-	ring     *obs.Ring           // last N request traces (GET /v1/traces)
-	breakers map[string]*breaker // per-route; nil map when disabled
-	jobs     *jobs.Manager       // durable async jobs; nil until OpenJobs
+	cfg  Config
+	eng  *sweep.Engine
+	mux  *http.ServeMux
+	sem  chan struct{}
+	met  *metrics
+	ring *obs.Ring     // last N request traces (GET /v1/traces)
+	jobs *jobs.Manager // durable async jobs; nil until OpenJobs
 
 	reqMu    sync.Mutex // guards met.requests growth
 	inflight sync.WaitGroup
-	draining atomic.Bool
+	drainMu  sync.RWMutex // orders the drain check and inflight.Add before Shutdown's Wait
+	draining bool         // guarded by drainMu
 }
 
 const (
@@ -156,12 +149,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxQueueDepth <= 0 {
 		cfg.MaxQueueDepth = 4 * cfg.MaxConcurrent
 	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 8
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 5 * time.Second
-	}
 	if cfg.TraceRing <= 0 {
 		cfg.TraceRing = 64
 	}
@@ -179,12 +166,6 @@ func New(cfg Config) *Server {
 		sem:  make(chan struct{}, cfg.MaxConcurrent),
 		met:  newMetrics(routes),
 		ring: obs.NewRing(cfg.TraceRing),
-	}
-	if cfg.BreakerThreshold > 0 {
-		s.breakers = make(map[string]*breaker, len(routes))
-		for _, r := range routes {
-			s.breakers[r] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-		}
 	}
 	s.mux.HandleFunc("/v1/predict", s.api(routePredict, s.handlePredict))
 	s.mux.HandleFunc("/v1/measure", s.api(routeMeasure, s.handleMeasure))
@@ -216,10 +197,13 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // graceful handoff: running jobs flush their final sweep checkpoint and
 // are re-marked submitted in the journal, so the next process resumes
 // them), and waits for in-flight requests (or for ctx to end, returning
-// its error). Pair it with http.Server.Shutdown for connection-level
-// draining.
+// its error). A request that races Shutdown either registered before
+// the drain flag was set, and is waited for, or is refused. Pair it
+// with http.Server.Shutdown for connection-level draining.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
+	s.drainMu.Lock()
+	s.draining = true
+	s.drainMu.Unlock()
 	if s.jobs != nil {
 		if err := s.jobs.Drain(ctx); err != nil {
 			return err
@@ -298,7 +282,7 @@ func (s *Server) timeout(ms int64) time.Duration {
 	return d
 }
 
-// retryAfterHeader advertises when a shed client should come back;
+// retryAfterHeader advertises when a refused client should come back;
 // whole seconds, never below 1 (the header's granularity).
 func retryAfterHeader(w http.ResponseWriter, d time.Duration) {
 	secs := int(d / time.Second)
@@ -308,60 +292,37 @@ func retryAfterHeader(w http.ResponseWriter, d time.Duration) {
 	w.Header().Set("Retry-After", fmt.Sprint(secs))
 }
 
-// shed rejects a request with 429 + Retry-After and counts it in the
-// dedicated shed counter (distinguishable from other rejections in
-// /metrics).
-func (s *Server) shed(w http.ResponseWriter, hint time.Duration, err error, meta reqMeta) int {
-	s.met.shed.Add(1)
-	retryAfterHeader(w, hint)
-	writeError(w, http.StatusTooManyRequests, "overload", err, meta)
-	return http.StatusTooManyRequests
-}
-
-// acquireSlot runs the load-shedding concurrency gate: take a free
-// slot immediately, otherwise join the bounded wait queue for at most
-// QueueWait. A full queue or an expired wait sheds the request (429 +
-// Retry-After); a client that goes away while queued gets 503. ok
-// reports whether a slot was acquired (the caller must release it).
-func (s *Server) acquireSlot(w http.ResponseWriter, r *http.Request, meta reqMeta) (code int, ok bool) {
-	select {
-	case s.sem <- struct{}{}:
-		return http.StatusOK, true
-	default:
+// fail writes one non-2xx API response: the refusal's Retry-After on a
+// 429 or 503, the correlation IDs, the cost estimate and limit of a
+// cost refusal, and one "request failed" log line naming the stage.
+// It returns the status for the caller's accounting.
+func (s *Server) fail(w http.ResponseWriter, route string, meta reqMeta, aerr *apiError) int {
+	if aerr.status == http.StatusServiceUnavailable || aerr.status == http.StatusTooManyRequests {
+		retryAfterHeader(w, aerr.retryAfter)
 	}
-	if s.met.queued.Add(1) > int64(s.cfg.MaxQueueDepth) {
-		s.met.queued.Add(-1)
-		return s.shed(w, s.cfg.QueueWait/2, fmt.Errorf("server saturated: %d requests in flight and wait queue full", cap(s.sem)), meta), false
-	}
-	timer := time.NewTimer(s.cfg.QueueWait)
-	defer timer.Stop()
-	select {
-	case s.sem <- struct{}{}:
-		s.met.queued.Add(-1)
-		return http.StatusOK, true
-	case <-timer.C:
-		s.met.queued.Add(-1)
-		return s.shed(w, s.cfg.QueueWait/2, fmt.Errorf("no worker slot within %v", s.cfg.QueueWait), meta), false
-	case <-r.Context().Done():
-		s.met.queued.Add(-1)
-		s.met.rejected.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "overload", fmt.Errorf("cancelled while waiting for a worker slot"), meta)
-		return http.StatusServiceUnavailable, false
-	}
+	s.log(slog.LevelWarn, "request failed",
+		"route", route, "code", aerr.status, "stage", aerr.stage, "err", aerr.err.Error(),
+		"request_id", meta.reqID, "trace_id", meta.traceID)
+	writeJSON(w, aerr.status, ErrorResponse{
+		Error: aerr.err.Error(), Stage: aerr.stage,
+		RequestID: meta.reqID, TraceID: meta.traceID,
+		EstimatedCostUnits: aerr.estCost, CostLimitUnits: aerr.costLimit,
+	})
+	return aerr.status
 }
 
 // api wraps one POST handler with the serving-stack concerns: method
-// filtering, drain refusal, the circuit breaker, the load-shedding
-// concurrency gate, the body-size cap, fault injection, panic
-// recovery, latency/metrics accounting and JSON error rendering.
+// filtering, the admission gate's drain and worker-slot checks
+// (admission.go), the body-size cap, fault injection, panic recovery,
+// latency/metrics accounting and JSON rendering. Every non-2xx response
+// is written by fail.
 func (s *Server) api(route string, h func(ctx context.Context, body []byte) (any, *apiError)) http.HandlerFunc {
-	br := s.breakers[route] // nil when breakers are disabled
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		code := http.StatusOK
 		// Correlation IDs are minted before any branch, and echoed both
-		// as headers and in every JSON body — including shed, breaker,
-		// drain and method rejections — so no response is anonymous.
+		// as headers and in every JSON body — including refusals — so no
+		// response is anonymous.
 		meta := s.newMeta(r)
 		w.Header().Set("X-HPF-Request-Id", meta.reqID)
 		w.Header().Set("traceparent", obs.FormatTraceparent(meta.traceID))
@@ -390,34 +351,14 @@ func (s *Server) api(route string, h func(ctx context.Context, body []byte) (any
 		}()
 
 		if r.Method != http.MethodPost {
-			code = http.StatusMethodNotAllowed
 			w.Header().Set("Allow", http.MethodPost)
-			writeError(w, code, "decode", fmt.Errorf("use POST"), meta)
+			code = s.fail(w, route, meta, errf(http.StatusMethodNotAllowed, "decode", "use POST"))
 			return
 		}
-		if s.draining.Load() {
-			code = http.StatusServiceUnavailable
-			s.met.rejected.Add(1)
-			retryAfterHeader(w, s.cfg.QueueWait)
-			writeError(w, code, "overload", fmt.Errorf("server is draining"), meta)
+		if aerr := s.enter(); aerr != nil {
+			code = s.fail(w, route, meta, aerr)
 			return
 		}
-
-		// The circuit breaker fails fast before any work when the route's
-		// pipeline has been failing consecutively; only internal failures
-		// (HTTP 500) count against it.
-		if retry, ok := br.allow(start); !ok {
-			code = http.StatusServiceUnavailable
-			s.met.breakerRejected.Add(1)
-			retryAfterHeader(w, retry)
-			writeError(w, code, "overload", fmt.Errorf("circuit breaker open for %s", route), meta)
-			return
-		}
-		// Every path below reports its outcome, so a half-open probe can
-		// never be leaked in flight.
-		defer func() { br.report(code == http.StatusInternalServerError, time.Now()) }()
-
-		s.inflight.Add(1)
 		defer s.inflight.Done()
 		s.met.inflight.Add(1)
 		defer s.met.inflight.Add(-1)
@@ -426,17 +367,15 @@ func (s *Server) api(route string, h func(ctx context.Context, body []byte) (any
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				code = http.StatusRequestEntityTooLarge
-				writeError(w, code, "decode", fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxBodyBytes), meta)
+				code = s.fail(w, route, meta, errf(http.StatusRequestEntityTooLarge, "decode", "request body exceeds %d bytes", s.cfg.MaxBodyBytes))
 			} else {
-				code = http.StatusBadRequest
-				writeError(w, code, "decode", err, meta)
+				code = s.fail(w, route, meta, &apiError{status: http.StatusBadRequest, stage: "decode", err: err})
 			}
 			return
 		}
 
-		var ok bool
-		if code, ok = s.acquireSlot(w, r, meta); !ok {
+		if aerr := s.acquireSlot(r); aerr != nil {
+			code = s.fail(w, route, meta, aerr)
 			return
 		}
 		defer func() { <-s.sem }()
@@ -464,18 +403,7 @@ func (s *Server) api(route string, h func(ctx context.Context, body []byte) (any
 			resp, aerr = h(ctx, body)
 		}()
 		if aerr != nil {
-			code = aerr.status
-			if code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests {
-				retryAfterHeader(w, time.Second)
-			}
-			s.log(slog.LevelWarn, "request failed",
-				"route", route, "code", code, "stage", aerr.stage, "err", aerr.err.Error(),
-				"request_id", meta.reqID, "trace_id", meta.traceID)
-			writeJSON(w, code, ErrorResponse{
-				Error: aerr.err.Error(), Stage: aerr.stage,
-				RequestID: meta.reqID, TraceID: meta.traceID,
-				EstimatedCostUnits: aerr.estCost, CostLimitUnits: aerr.costLimit,
-			})
+			code = s.fail(w, route, meta, aerr)
 			return
 		}
 		if m, isMeta := resp.(metaSetter); isMeta {
@@ -608,7 +536,7 @@ func (s *Server) handlePredict(ctx context.Context, body []byte) (any, *apiError
 	// Cost-admission gate: price the compiled program statically and
 	// check it against the per-request and in-flight budgets before the
 	// interpretation sweep runs.
-	_, releaseCost, aerr := s.admitCost(prog)
+	releaseCost, aerr := s.admitCost("program", nil, prog)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -714,7 +642,7 @@ func (s *Server) handleMeasure(ctx context.Context, body []byte) (any, *apiError
 	if err != nil {
 		return nil, ctxErr(err, http.StatusBadRequest, "compile")
 	}
-	_, releaseCost, aerr := s.admitCost(prog)
+	releaseCost, aerr := s.admitCost("program", nil, prog)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -825,7 +753,10 @@ func (s *Server) handleAnalyze(ctx context.Context, body []byte) (any, *apiError
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
 	code := http.StatusOK
-	if s.draining.Load() {
+	s.drainMu.RLock()
+	draining := s.draining
+	s.drainMu.RUnlock()
+	if draining {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
@@ -841,17 +772,10 @@ func acceptsOpenMetrics(r *http.Request) bool {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var brs []breakerStat
-	for _, route := range []string{routeAnalyze, routeAutotune, routeMeasure, routePredict} {
-		if b, ok := s.breakers[route]; ok {
-			state, opens := b.snapshot()
-			brs = append(brs, breakerStat{route: route, state: state, opens: opens})
-		}
-	}
 	om := acceptsOpenMetrics(r)
 	var b strings.Builder
 	s.reqMu.Lock()
-	s.met.render(&b, s.eng.Snapshot(), s.eng.Cache().CacheStats(), brs, om)
+	s.met.render(&b, s.eng.Snapshot(), s.eng.Cache().CacheStats(), om)
 	s.reqMu.Unlock()
 	if s.jobs != nil {
 		renderJobsMetrics(&b, s.jobs.Metrics())
