@@ -1,10 +1,11 @@
 // Package hpfclient is the Go client for the hpfserve HTTP API. It
 // wraps the /v1 endpoints with context-aware retries: transient
-// failures — network errors, 429 shed responses, 503 overload/breaker
-// rejections, 502s from intermediaries — are retried with full-jitter
-// exponential backoff, honoring the server's Retry-After header when
-// present. Permanent failures (4xx client errors, 500 internal
-// errors, 504 deadline expiries) surface immediately as *APIError.
+// failures — network errors, 429 shed and cost refusals, 503 drain
+// and overload refusals, 502s from intermediaries — are retried with
+// full-jitter exponential backoff, honoring the server's Retry-After
+// header when present. Permanent failures (4xx client errors, 500
+// internal errors, 504 deadline expiries) surface immediately as
+// *APIError.
 package hpfclient
 
 import (
