@@ -118,36 +118,34 @@ func mustReadAll(t *testing.T, url string) []byte {
 }
 
 // TestQueueWaitExpiryShed: a queued request whose wait expires is shed
-// with 429 (not left hanging and not 503).
+// with 429 (not left hanging and not 503), and the route serves again
+// once the slot frees.
 func TestQueueWaitExpiryShed(t *testing.T) {
-	_, ts := newTestServer(t, Config{
+	s, ts := newTestServer(t, Config{
 		MaxConcurrent: 1,
 		MaxQueueDepth: 4,
 		QueueWait:     50 * time.Millisecond,
 	})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// Hold the only slot long enough for the probe's wait to expire.
-		resp, _ := post(t, ts.URL+"/v1/measure", map[string]any{"source": bigSource(80), "runs": 3})
-		resp.Body.Close()
-		close(release)
-	}()
-	time.Sleep(30 * time.Millisecond) // let the slow request take the slot
+	// Hold the only worker slot, as a long request would, for the whole
+	// probe: the probe must queue and its wait must expire. Taking the
+	// slot directly leaves no race with how fast a real request runs.
+	s.sem <- struct{}{}
 	resp, body := post(t, ts.URL+"/v1/predict", map[string]any{"source": tinyProgram})
-	if resp.StatusCode == http.StatusOK {
-		t.Skip("slow request finished before the probe queued; nothing to assert")
-	}
+	<-s.sem
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d body %s, want 429", resp.StatusCode, body)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("queue-expiry shed missing Retry-After")
 	}
-	<-release
-	wg.Wait()
+	var er ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil || er.Stage != "overload" {
+		t.Errorf("shed body = %s (stage %q), want overload stage", body, er.Stage)
+	}
+
+	if resp, body := post(t, ts.URL+"/v1/predict", map[string]any{"source": tinyProgram}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("after the slot freed: status = %d body %s, want 200", resp.StatusCode, body)
+	}
 }
 
 func grepLines(s, substr string) string {
