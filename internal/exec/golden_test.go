@@ -24,6 +24,7 @@ import (
 	"hpfperf/internal/compiler"
 	"hpfperf/internal/corpus"
 	"hpfperf/internal/exec"
+	"hpfperf/internal/hir"
 	"hpfperf/internal/ipsc"
 	"hpfperf/internal/suite"
 )
@@ -36,6 +37,9 @@ const goldenPath = "testdata/results.golden"
 type goldenCase struct {
 	name string
 	src  string
+	// edit, when set, changes the compiled program before it runs, to pin
+	// shapes the compiler never emits.
+	edit func(*hir.Program)
 	cfg  ipsc.Config
 	opts exec.Options
 }
@@ -123,6 +127,35 @@ func goldenCases() []goldenCase {
 				})
 		}
 	}
+	for _, o := range ownerPrograms {
+		cases = append(cases, goldenCase{
+			name: "owners " + o.name,
+			src:  o.src,
+			cfg:  machineConfig(o.procs, 0.01, 2, true),
+			opts: exec.Options{Runs: 1},
+		})
+	}
+	// A partitioned loop whose iterations run on the owners of element
+	// K+8 while its guarded store writes element K: where the two owners
+	// differ, no rank of the iteration's context owns the stored element.
+	cases = append(cases, goldenCase{
+		name: "owners shifted-partition",
+		src: `PROGRAM sp
+PARAMETER (N = 64)
+REAL A(N)
+!HPF$ PROCESSORS P(4)
+!HPF$ DISTRIBUTE A(BLOCK) ONTO P
+FORALL (K=1:32) A(K) = REAL(K)
+S = SUM(A)
+PRINT *, S
+END`,
+		edit: func(prog *hir.Program) {
+			loop := prog.Body[0].(*hir.Loop)
+			loop.Par = &hir.ParSpec{Array: loop.Par.Array, Dim: loop.Par.Dim, Offset: loop.Par.Offset + 8}
+		},
+		cfg:  machineConfig(4, 0.01, 2, true),
+		opts: exec.Options{Runs: 1},
+	})
 	for _, e := range errorPrograms {
 		cases = append(cases, goldenCase{
 			name: "error " + e.name,
@@ -132,6 +165,82 @@ func goldenCases() []goldenCase {
 		})
 	}
 	return cases
+}
+
+// ownerPrograms exercise the ownership shapes the suite and corpus leave
+// out: a rank that owns nothing, maps whose bounds differ from their
+// arrays', negative-stride partitioned loops, and guarded stores and
+// fetches in a sequential recurrence over two distributed dimensions.
+var ownerPrograms = []struct {
+	name  string
+	procs int
+	src   string
+}{
+	{name: "block4-empty-rank", procs: 4, src: `PROGRAM b4
+PARAMETER (N = 10)
+REAL A(N), B(N)
+!HPF$ PROCESSORS P(4)
+!HPF$ TEMPLATE T(N)
+!HPF$ ALIGN A(I) WITH T(I)
+!HPF$ ALIGN B(I) WITH T(I)
+!HPF$ DISTRIBUTE T(BLOCK(4)) ONTO P
+FORALL (K=1:N) A(K) = REAL(K)
+FORALL (K=2:N-1) B(K) = A(K-1) + A(K+1)
+B(N) = A(1) + 1.0
+DO I = 2, N
+  B(I) = B(I) + B(I-1)
+END DO
+S = SUM(B)
+X = B(9)
+PRINT *, S, X
+END`},
+	{name: "align-offset", procs: 4, src: `PROGRAM ao
+PARAMETER (N = 12)
+REAL A(N), B(N)
+!HPF$ PROCESSORS P(4)
+!HPF$ TEMPLATE T(N+2)
+!HPF$ ALIGN A(I) WITH T(I+2)
+!HPF$ ALIGN B(I) WITH T(I)
+!HPF$ DISTRIBUTE T(BLOCK) ONTO P
+FORALL (K=1:N) A(K) = REAL(K)
+FORALL (K=1:N) B(K) = A(K) * 2.0
+A(N) = B(1)
+A(1) = 3.0
+DO I = 2, N
+  A(I) = A(I-1) + B(I)
+END DO
+X = A(N) + A(2)
+S = SUM(A)
+PRINT *, S, X
+END`},
+	{name: "negative-stride", procs: 4, src: `PROGRAM ns
+PARAMETER (N = 11)
+REAL A(N), B(N)
+!HPF$ PROCESSORS P(4)
+!HPF$ DISTRIBUTE A(BLOCK(3)) ONTO P
+!HPF$ DISTRIBUTE B(CYCLIC(3)) ONTO P
+FORALL (K=N:1:-1) A(K) = REAL(K)
+FORALL (K=N:1:-1) B(K) = REAL(2*K)
+FORALL (K=N:2:-2) A(K) = A(K) + 1.0
+FORALL (K=N-1:1:-3) B(K) = 3.0 * B(K)
+S = SUM(A) + SUM(B)
+PRINT *, S
+END`},
+	{name: "recurrence-block-cyclic3", procs: 4, src: `PROGRAM rec
+PARAMETER (N = 8, M = 10)
+REAL A(N,M)
+!HPF$ PROCESSORS P(2,2)
+!HPF$ DISTRIBUTE A(BLOCK,CYCLIC(3)) ONTO P
+FORALL (I=1:N, J=1:M) A(I,J) = REAL(I)
+DO J = 2, M
+  DO I = 1, N
+    A(I,J) = A(I,J-1) + 1.0
+  END DO
+END DO
+S = SUM(A)
+X = A(N,M)
+PRINT *, S, X
+END`},
 }
 
 // errorPrograms fail at run time; the golden pins their error text,
@@ -204,6 +313,22 @@ DO WHILE (A(K) .LT. 1.0)
   K = K + 1
 END DO
 END`},
+	{name: "partitioned-index-high", procs: 2, src: `PROGRAM e
+PARAMETER (N = 8)
+REAL A(N)
+!HPF$ PROCESSORS P(2)
+!HPF$ DISTRIBUTE A(BLOCK) ONTO P
+M = 10
+FORALL (I=1:M) A(I) = REAL(I)
+END`},
+	{name: "partitioned-index-negative-stride", procs: 2, src: `PROGRAM e
+PARAMETER (N = 8)
+REAL A(N)
+!HPF$ PROCESSORS P(2)
+!HPF$ DISTRIBUTE A(BLOCK) ONTO P
+M = 0
+FORALL (I=8:M:-2) A(I) = REAL(I)
+END`},
 }
 
 // render formats one result (or error) of a case.
@@ -241,6 +366,9 @@ func runCase(t *testing.T, c goldenCase) (*exec.Result, error) {
 	prog, err := compiler.Compile(c.src)
 	if err != nil {
 		t.Fatalf("%s: compile: %v", c.name, err)
+	}
+	if c.edit != nil {
+		c.edit(prog)
 	}
 	m, err := ipsc.New(c.cfg)
 	if err != nil {
