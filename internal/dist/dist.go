@@ -262,6 +262,25 @@ func (d DimDist) OwnedRange(p int) (lo, hi int, ok bool) {
 	return 0, 0, false
 }
 
+// OwnerRun returns Owner(g) and the run [lo,hi] of indices around g that
+// share that owner: g's block for Block, its chunk of BlockSize()
+// elements for Cyclic, and the whole dimension for Collapsed or a single
+// processor. An owner-computes sweep over the dimension looks the owner
+// up once per run. Unlike Owner it does not check g, so the caller must
+// guarantee Lo <= g <= Hi.
+func (d DimDist) OwnerRun(g int) (coord, lo, hi int) {
+	if d.Kind == Collapsed || d.NProc <= 1 {
+		return 0, d.Lo, d.Hi
+	}
+	b := d.BlockSize()
+	k := (g - d.Lo) / b
+	lo = d.Lo + k*b
+	if d.Kind == Cyclic {
+		k %= d.NProc
+	}
+	return k, lo, min(lo+b-1, d.Hi)
+}
+
 // LoopCount returns how many iterations of the global loop lo:hi:step fall
 // on processor coordinate p (owner-computes partitioning of a parallel
 // loop aligned with this dimension). Unit-stride loops use closed forms so

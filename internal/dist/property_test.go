@@ -119,6 +119,48 @@ func TestPropertyOwnedRangeMatchesOwner(t *testing.T) {
 	}
 }
 
+func TestPropertyOwnerRunMatchesOwner(t *testing.T) {
+	// For every index g, OwnerRun(g) names Owner(g) and a run [lo,hi]
+	// holding g, inside the dimension, over which Owner is constant and
+	// just outside which it changes. The fixed shapes start away from 1
+	// and cover a remainder block, an empty last BLOCK(n) block, and a
+	// CYCLIC(k) chunk that does not divide the extent.
+	dists := []DimDist{
+		{Kind: Block, Lo: 0, Hi: 9, ProcDim: 0, NProc: 4},
+		{Kind: Block, Lo: -3, Hi: 6, ProcDim: 0, NProc: 4, Blk: 4},
+		{Kind: Cyclic, Lo: 2, Hi: 12, ProcDim: 0, NProc: 3},
+		{Kind: Cyclic, Lo: -1, Hi: 9, ProcDim: 1, NProc: 2, Blk: 3},
+		{Kind: Collapsed, Lo: 5, Hi: 9, ProcDim: -1, NProc: 1},
+	}
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 500; trial++ {
+		dists = append(dists, randDist(rng))
+	}
+	for _, d := range dists {
+		for g := d.Lo; g <= d.Hi; g++ {
+			c, lo, hi := d.OwnerRun(g)
+			if c != d.Owner(g) {
+				t.Fatalf("%v [%d,%d]: OwnerRun(%d) owner %d, Owner %d", d, d.Lo, d.Hi, g, c, d.Owner(g))
+			}
+			if lo < d.Lo || hi > d.Hi || g < lo || g > hi {
+				t.Fatalf("%v [%d,%d]: OwnerRun(%d) run [%d,%d]", d, d.Lo, d.Hi, g, lo, hi)
+			}
+			for x := lo; x <= hi; x++ {
+				if d.Owner(x) != c {
+					t.Fatalf("%v [%d,%d]: OwnerRun(%d) run [%d,%d] holds %d owned by %d, not %d",
+						d, d.Lo, d.Hi, g, lo, hi, x, d.Owner(x), c)
+				}
+			}
+			for _, x := range []int{lo - 1, hi + 1} {
+				if d.contains(x) && d.Owner(x) == c {
+					t.Fatalf("%v [%d,%d]: OwnerRun(%d) run [%d,%d] stops before %d, also owned by %d",
+						d, d.Lo, d.Hi, g, lo, hi, x, c)
+				}
+			}
+		}
+	}
+}
+
 // bruteLoopCount counts iterations of lo:hi:step owned by p directly.
 func bruteLoopCount(d DimDist, p, lo, hi, step int) int {
 	n := 0
