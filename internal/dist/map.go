@@ -130,16 +130,7 @@ func (m *ArrayMap) Owns(rank int, idx []int) bool {
 	if m.Replicated {
 		return true
 	}
-	return m.OwnsCoords(m.Grid.Coords(rank), idx)
-}
-
-// OwnsCoords is Owns for the processor at grid coordinates coords. It
-// does not allocate, so per-element ownership tests can use
-// precomputed coordinates.
-func (m *ArrayMap) OwnsCoords(coords []int, idx []int) bool {
-	if m.Replicated {
-		return true
-	}
+	coords := m.Grid.Coords(rank)
 	for i, d := range m.Dims {
 		if d.Kind == Collapsed {
 			continue

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -548,29 +549,47 @@ func TestParallelRunsMatchSequential(t *testing.T) {
 
 // TestInternalPanicsPassThrough pins the error contract of the lowered
 // closures: runtime errors come back as errors, while a panic that is not
-// a runtime error (here an out-of-range partitioning dimension) reaches
-// the caller unchanged, for the sweep layer to report.
+// a runtime error reaches the caller unchanged, for the sweep layer to
+// report. The programs are broken by hand after compiling: an
+// out-of-range partitioning dimension, and a store and a fetch of an
+// element inside the array's bounds but off its map, which the owner
+// lookup's range check must still catch.
 func TestInternalPanicsPassThrough(t *testing.T) {
-	prog, err := compiler.Compile(sumHdr + "FORALL (K=1:N) A(K) = REAL(K)\nEND")
-	if err != nil {
-		t.Fatal(err)
+	shrinkMap := func(_ *testing.T, prog *hir.Program) { prog.Info.Symbols["A"].Map.Dims[0].Hi = 60 }
+	for _, c := range []struct {
+		name, body string
+		breakProg  func(*testing.T, *hir.Program)
+		panicText  string
+	}{
+		{"partitioning dimension", "FORALL (K=1:N) A(K) = REAL(K)", func(t *testing.T, prog *hir.Program) {
+			for _, s := range prog.Body {
+				if l, ok := s.(*hir.Loop); ok && l.Par != nil {
+					l.Par = &hir.ParSpec{Array: l.Par.Array, Dim: 7, Offset: l.Par.Offset}
+					return
+				}
+			}
+			t.Fatal("no partitioned loop in the compiled program")
+		}, "index out of range"},
+		{"store off the map", "A(N) = 1.0", shrinkMap, "dist: global index 64 outside [1,60]"},
+		{"fetch off the map", "X = A(N)", shrinkMap, "dist: global index 64 outside [1,60]"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			prog, err := compiler.Compile(sumHdr + c.body + "\nEND")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.breakProg(t, prog)
+			m, _ := ipsc.New(ipsc.DefaultConfig(4))
+			defer func() {
+				p := recover()
+				if p == nil {
+					t.Error("an internal panic was swallowed")
+				} else if !strings.Contains(fmt.Sprint(p), c.panicText) {
+					t.Errorf("panic %q, want one containing %q", p, c.panicText)
+				}
+			}()
+			_, err = Run(prog, m, Options{})
+			t.Errorf("Run returned (%v) instead of panicking", err)
+		})
 	}
-	var loop *hir.Loop
-	for _, s := range prog.Body {
-		if l, ok := s.(*hir.Loop); ok && l.Par != nil {
-			loop = l
-		}
-	}
-	if loop == nil {
-		t.Fatal("no partitioned loop in the compiled program")
-	}
-	loop.Par = &hir.ParSpec{Array: loop.Par.Array, Dim: 7, Offset: loop.Par.Offset}
-	m, _ := ipsc.New(ipsc.DefaultConfig(4))
-	defer func() {
-		if recover() == nil {
-			t.Error("an internal panic was swallowed")
-		}
-	}()
-	_, err = Run(prog, m, Options{})
-	t.Errorf("Run returned (%v) instead of panicking", err)
 }

@@ -105,11 +105,10 @@ func (vm *VM) lowerAssign(x *hir.Assign) stmtFn {
 			vm.charge(pc, cycles)
 		}
 	}
-	// Outside partitioned loops only the owners store: every rank
-	// reaching the statement pays the ownership test, then the owners
-	// pay the store.
+	// Only the owners store: every rank reaching the statement pays the
+	// ownership test, then the owners among them pay the store.
 	subs, guard := vm.lowerSubs(lhs.Subs), cost.guardCycles
-	m := vm.prog.Info.ArrayMap(lhs.Array)
+	own := vm.lowerOwners(lhs.Array, a)
 	return func(pc int) {
 		vm.enter(line)
 		v := rhs()
@@ -120,12 +119,81 @@ func (vm *VM) lowerAssign(x *hir.Assign) stmtFn {
 		}
 		a.store(off, v)
 		vm.charge(pc, guard)
-		for _, r := range vm.parts.ranksOf(pc) {
-			if m.OwnsCoords(vm.parts.coords[r], idx) {
-				vm.mach.Compute(r, cycles)
-			}
+		if opc := own.narrow(pc, idx); opc >= 0 {
+			vm.charge(opc, cycles)
 		}
 	}
+}
+
+// owners locates the owners of the elements one reference site stores or
+// fetches. Each distributed dimension keeps the owner run of the site's
+// last element, and the site keeps the last context it narrowed, so an
+// element in the same runs as the last, under the same context, costs
+// one range test per dimension.
+type owners struct {
+	parts    *partitions
+	dims     []ownerDim
+	pc       int // context of the last narrowing (-1: none yet)
+	narrowed int // pc narrowed to the last element's owners (-1: no rank of pc owns it)
+}
+
+// ownerDim is one distributed dimension of the array and the owner run
+// [lo,hi] (empty until the first lookup) of the last element along it.
+type ownerDim struct {
+	dd  dist.DimDist
+	dim int
+	// checked is set when the array's bounds exceed the map's, which only
+	// a hand-built program can produce. Such a dimension looks each index
+	// up with the range-checked DimDist.Owner and runs of one element, as
+	// an index the array's bounds check passed may still lie off the map.
+	checked       bool
+	coord, lo, hi int
+}
+
+// lowerOwners lowers the ownership of array a's elements. A replicated or
+// unmapped array has no distributed dimension: every rank owns every
+// element, so narrowing keeps the context whole.
+func (vm *VM) lowerOwners(name string, a *array) *owners {
+	o := &owners{parts: vm.parts, pc: -1}
+	m := vm.prog.Info.ArrayMap(name)
+	if m == nil || m.Replicated {
+		return o
+	}
+	o.dims = make([]ownerDim, 0, len(m.Dims))
+	for i, dd := range m.Dims {
+		if dd.Kind == dist.Collapsed {
+			continue
+		}
+		checked := a == nil || a.bounds[i][0] < dd.Lo || a.bounds[i][1] > dd.Hi
+		o.dims = append(o.dims, ownerDim{dd: dd, dim: i, checked: checked, lo: 1, hi: 0})
+	}
+	return o
+}
+
+// narrow returns context pc narrowed to the owners of element idx, or -1
+// when no rank pc selects owns it. The narrowed context selects the same
+// ranks, in the same ascending order, as filtering pc's ranks by
+// ownership would.
+func (o *owners) narrow(pc int, idx []int) int {
+	moved := pc != o.pc
+	for k := range o.dims {
+		d := &o.dims[k]
+		if g := idx[d.dim]; g < d.lo || g > d.hi {
+			if d.checked {
+				d.coord, d.lo, d.hi = d.dd.Owner(g), g, g
+			} else {
+				d.coord, d.lo, d.hi = d.dd.OwnerRun(g)
+			}
+			moved = true
+		}
+	}
+	if moved {
+		o.pc, o.narrowed = pc, pc
+		for k := 0; k < len(o.dims) && o.narrowed >= 0; k++ {
+			o.narrowed = o.parts.pin(o.narrowed, o.dims[k].dd.ProcDim, o.dims[k].coord)
+		}
+	}
+	return o.narrowed
 }
 
 func (vm *VM) lowerLoop(x *hir.Loop) stmtFn {
@@ -156,7 +224,10 @@ func (vm *VM) lowerLoop(x *hir.Loop) stmtFn {
 		}
 	}
 	// Owner-computes partitioned loop: iteration i runs on the owners of
-	// element i+Offset of the partitioning array's dimension.
+	// element i+Offset of the partitioning array's dimension. The owner,
+	// and with it the iteration's context, changes only where that element
+	// leaves its owner run; runs lie inside the dimension, so an index
+	// outside it always leaves the run and fails its check.
 	par := *x.Par
 	m := vm.prog.Info.ArrayMap(par.Array)
 	return func(pc int) {
@@ -165,13 +236,17 @@ func (vm *VM) lowerLoop(x *hir.Loop) stmtFn {
 			vm.fail("partitioned loop references unmapped array %s", par.Array)
 		}
 		dd := m.Dims[par.Dim]
+		runLo, runHi, inner := 1, 0, pc
 		for i := l; (st > 0 && i <= h) || (st < 0 && i >= h); i += st {
 			vm.tick()
-			g := int(i) + par.Offset
-			if g < dd.Lo || g > dd.Hi {
-				vm.fail("partitioned index %d outside dimension [%d,%d] of %s", g, dd.Lo, dd.Hi, par.Array)
+			if g := int(i) + par.Offset; g < runLo || g > runHi {
+				if g < dd.Lo || g > dd.Hi {
+					vm.fail("partitioned index %d outside dimension [%d,%d] of %s", g, dd.Lo, dd.Hi, par.Array)
+				}
+				var c int
+				c, runLo, runHi = dd.OwnerRun(g)
+				inner = vm.parts.with(pc, dd.ProcDim, c)
 			}
-			inner := vm.parts.with(pc, dd.ProcDim, dd.Owner(g))
 			iv.store(intV(i))
 			vm.charge(inner, overhead)
 			body(inner)
@@ -439,7 +514,7 @@ func (vm *VM) lowerFetch(x *hir.FetchElem) stmtFn {
 	line, cycles := x.SrcLine, vm.costs[x].cycles
 	a := vm.arrays[x.Array]
 	subs, dst := vm.lowerSubs(x.Subs), vm.slot(x.Dst)
-	m := vm.prog.Info.ArrayMap(x.Array)
+	own := vm.lowerOwners(x.Array, a)
 	bytes := x.Typ.Bytes()
 	return func(pc int) {
 		vm.enter(line)
@@ -452,11 +527,9 @@ func (vm *VM) lowerFetch(x *hir.FetchElem) stmtFn {
 			vm.fail("%v", err)
 		}
 		dst.store(convertTo(a.load(off), x.Typ))
-		owner := 0
-		if m != nil {
-			owner = m.PrimaryOwner(idx)
-		}
-		vm.mach.FetchBroadcast(owner, bytes)
+		// sem rejects partial replication, so a distributed element has
+		// one owner; replicated and unmapped arrays broadcast from rank 0.
+		vm.mach.FetchBroadcast(vm.parts.ranksOf(own.narrow(freePC, idx))[0], bytes)
 		vm.charge(pc, cycles)
 	}
 }

@@ -297,6 +297,20 @@ func (p *partitions) with(pc, d, c int) int {
 	return pc + (c+1-pc/rad%(p.shape[d]+1))*rad
 }
 
+// pin returns context pc with grid dimension d constrained to coordinate
+// c, or -1 when pc already constrains d to another coordinate. The ranks
+// it selects are those of pc whose coordinate d is c.
+func (p *partitions) pin(pc, d, c int) int {
+	rad := p.radix[d]
+	switch pc / rad % (p.shape[d] + 1) {
+	case 0:
+		return pc + (c+1)*rad
+	case c + 1:
+		return pc
+	}
+	return -1
+}
+
 // ranksOf lists the ranks context pc selects, in ascending order.
 func (p *partitions) ranksOf(pc int) []int {
 	if rs := p.ranks[pc]; rs != nil {
