@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"fmt"
 	"testing"
 
 	"hpfperf/internal/compiler"
@@ -38,37 +39,65 @@ func BenchmarkRunTable2Quick(b *testing.B) {
 	}
 }
 
+// recurrenceSource is a sequential recurrence over a BLOCK array on four
+// ranks: every iteration fetches F(I-1) from its owner and broadcasts it,
+// then stores F(I) on its owner.
+func recurrenceSource(n int) string {
+	return fmt.Sprintf(`PROGRAM rec
+PARAMETER (N = %d)
+REAL F(N)
+!HPF$ PROCESSORS P(4)
+!HPF$ DISTRIBUTE F(BLOCK) ONTO P
+F(1) = 0.0
+DO I = 2, N
+  F(I) = F(I-1) + 1.0
+END DO
+END`, n)
+}
+
 // TestAllocsIndependentOfProblemSize pins the lowered executor's
-// allocation profile: for kernels whose loops hold no communication,
-// a run allocates the same at both quick-grid problem sizes (storage,
-// lowering and result only), not per executed statement.
+// allocation profile: a run allocates the same at both problem sizes
+// (storage, lowering and result only), not per executed statement. The
+// suite kernels' loops hold no communication; the recurrence fetches and
+// broadcasts an element and stores a guarded element every iteration.
 func TestAllocsIndependentOfProblemSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts in -short mode")
 	}
+	type sized struct {
+		name  string
+		np    int
+		sizes []int
+		src   func(size int) string
+	}
+	var cases []sized
 	for _, p := range []*suite.Program{suite.LFK9(), suite.PBS3()} {
 		for _, np := range []int{1, 4} {
-			var allocs []float64
-			for _, size := range p.Sizes[:2] {
-				prog, err := compiler.Compile(p.Source(size, np))
+			cases = append(cases, sized{p.Name, np, p.Sizes[:2], func(size int) string { return p.Source(size, np) }})
+		}
+	}
+	cases = append(cases, sized{"recurrence", 4, []int{64, 512}, recurrenceSource})
+	for _, c := range cases {
+		var allocs []float64
+		for _, size := range c.sizes {
+			prog, err := compiler.Compile(c.src(size))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := ipsc.DefaultConfig(c.np)
+			allocs = append(allocs, testing.AllocsPerRun(10, func() {
+				m, err := ipsc.New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := ipsc.DefaultConfig(np)
-				allocs = append(allocs, testing.AllocsPerRun(10, func() {
-					m, err := ipsc.New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := exec.Run(prog, m, exec.Options{}); err != nil {
-						t.Fatal(err)
-					}
-				}))
-			}
-			t.Logf("%s p=%d: %v allocs at sizes %v", p.Name, np, allocs, p.Sizes[:2])
-			if allocs[0] != allocs[1] {
-				t.Errorf("%s p=%d: %v allocs at sizes %v, want equal", p.Name, np, allocs, p.Sizes[:2])
-			}
+				if _, err := exec.Run(prog, m, exec.Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		t.Logf("%s p=%d: %v allocs at sizes %v", c.name, c.np, allocs, c.sizes)
+		if allocs[0] != allocs[1] {
+			t.Errorf("%s p=%d: %v allocs at sizes %v, want equal", c.name, c.np, allocs, c.sizes)
 		}
 	}
 }

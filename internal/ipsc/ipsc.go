@@ -68,6 +68,7 @@ type Machine struct {
 	node   *sysmodel.SAU
 	clocks []float64
 	factor []float64 // per-run per-node compute slowdown factors
+	prev   []float64 // ShiftExchange's copy of the clocks before the exchange
 	rng    *rand.Rand
 	// Stats accumulates simulator-level counters.
 	Stats Stats
@@ -247,28 +248,20 @@ func (m *Machine) msgUS(bytes, hops int) float64 {
 	return t
 }
 
-// syncTo aligns a set of ranks to a common start time (loosely synchronous
+// syncAll aligns every node to a common start time (loosely synchronous
 // phase boundary), recording the skew as communication wait.
-func (m *Machine) syncTo(ranks []int) float64 {
+func (m *Machine) syncAll() float64 {
 	t := 0.0
-	for _, r := range ranks {
-		if m.clocks[r] > t {
-			t = m.clocks[r]
+	for _, c := range m.clocks {
+		if c > t {
+			t = c
 		}
 	}
-	for _, r := range ranks {
-		m.Stats.CommWaitUS += t - m.clocks[r]
+	for r, c := range m.clocks {
+		m.Stats.CommWaitUS += t - c
 		m.clocks[r] = t
 	}
 	return t
-}
-
-func (m *Machine) allRanks() []int {
-	rs := make([]int, m.cfg.Nodes)
-	for i := range rs {
-		rs[i] = i
-	}
-	return rs
 }
 
 // ShiftExchange models a nearest-neighbour halo/shift exchange: each
@@ -280,7 +273,8 @@ func (m *Machine) ShiftExchange(bytes func(rank int) int, partner func(rank int)
 		return
 	}
 	m.Stats.Collectives++
-	old := append([]float64(nil), m.clocks...)
+	m.prev = append(m.prev[:0], m.clocks...)
+	old := m.prev
 	for r := 0; r < m.cfg.Nodes; r++ {
 		p := partner(r)
 		if p == r || p < 0 {
@@ -304,7 +298,7 @@ func (m *Machine) AllReduce(bytes int) {
 	}
 	m.Stats.Collectives++
 	stages := sysmodel.Log2Ceil(m.cfg.Nodes)
-	t := m.syncTo(m.allRanks())
+	t := m.syncAll()
 	cost := 0.0
 	for s := 0; s < stages; s++ {
 		cost += m.msgUS(bytes, 1) + m.node.C.ReduceStageUS
@@ -323,7 +317,7 @@ func (m *Machine) Broadcast(root, bytes int) {
 	stages := sysmodel.Log2Ceil(m.cfg.Nodes)
 	// Receivers cannot proceed before the root sends; the tree pipeline
 	// completes after `stages` message steps.
-	t := m.syncTo(m.allRanks())
+	t := m.syncAll()
 	cost := 0.0
 	for s := 0; s < stages; s++ {
 		cost += m.msgUS(bytes, 1) + m.node.C.BcastStageUS
@@ -350,7 +344,7 @@ func (m *Machine) AllGatherV(localBytes func(rank int) int) {
 		}
 	}
 	stages := sysmodel.Log2Ceil(m.cfg.Nodes)
-	t := m.syncTo(m.allRanks())
+	t := m.syncAll()
 	// Recursive doubling: stage i exchanges ~2^i × maxLocal bytes.
 	cost := 0.0
 	vol := maxLocal
@@ -379,4 +373,4 @@ func (m *Machine) HostIO(bytes int) {
 }
 
 // Barrier fully synchronizes all nodes.
-func (m *Machine) Barrier() { m.syncTo(m.allRanks()) }
+func (m *Machine) Barrier() { m.syncAll() }
