@@ -108,7 +108,7 @@ func (vm *VM) lowerAssign(x *hir.Assign) stmtFn {
 	// Only the owners store: every rank reaching the statement pays the
 	// ownership test, then the owners among them pay the store.
 	subs, guard := vm.lowerSubs(lhs.Subs), cost.guardCycles
-	own := vm.lowerOwners(lhs.Array, a)
+	own := vm.lowerOwners(lhs.Array)
 	return func(pc int) {
 		vm.enter(line)
 		v := rhs()
@@ -140,20 +140,15 @@ type owners struct {
 // ownerDim is one distributed dimension of the array and the owner run
 // [lo,hi] (empty until the first lookup) of the last element along it.
 type ownerDim struct {
-	dd  dist.DimDist
-	dim int
-	// checked is set when the array's bounds exceed the map's, which only
-	// a hand-built program can produce. Such a dimension looks each index
-	// up with the range-checked DimDist.Owner and runs of one element, as
-	// an index the array's bounds check passed may still lie off the map.
-	checked       bool
+	dd            dist.DimDist
+	dim           int
 	coord, lo, hi int
 }
 
-// lowerOwners lowers the ownership of array a's elements. A replicated or
-// unmapped array has no distributed dimension: every rank owns every
-// element, so narrowing keeps the context whole.
-func (vm *VM) lowerOwners(name string, a *array) *owners {
+// lowerOwners lowers the ownership of the named array's elements. A
+// replicated or unmapped array has no distributed dimension: every rank
+// owns every element, so narrowing keeps the context whole.
+func (vm *VM) lowerOwners(name string) *owners {
 	o := &owners{parts: vm.parts, pc: -1}
 	m := vm.prog.Info.ArrayMap(name)
 	if m == nil || m.Replicated {
@@ -164,8 +159,7 @@ func (vm *VM) lowerOwners(name string, a *array) *owners {
 		if dd.Kind == dist.Collapsed {
 			continue
 		}
-		checked := a == nil || a.bounds[i][0] < dd.Lo || a.bounds[i][1] > dd.Hi
-		o.dims = append(o.dims, ownerDim{dd: dd, dim: i, checked: checked, lo: 1, hi: 0})
+		o.dims = append(o.dims, ownerDim{dd: dd, dim: i, lo: 1, hi: 0})
 	}
 	return o
 }
@@ -179,11 +173,10 @@ func (o *owners) narrow(pc int, idx []int) int {
 	for k := range o.dims {
 		d := &o.dims[k]
 		if g := idx[d.dim]; g < d.lo || g > d.hi {
-			if d.checked {
-				d.coord, d.lo, d.hi = d.dd.Owner(g), g, g
-			} else {
-				d.coord, d.lo, d.hi = d.dd.OwnerRun(g)
+			if g < d.dd.Lo || g > d.dd.Hi {
+				d.dd.Owner(g) // panics: the index lies off the map
 			}
+			d.coord, d.lo, d.hi = d.dd.OwnerRun(g)
 			moved = true
 		}
 	}
@@ -514,7 +507,7 @@ func (vm *VM) lowerFetch(x *hir.FetchElem) stmtFn {
 	line, cycles := x.SrcLine, vm.costs[x].cycles
 	a := vm.arrays[x.Array]
 	subs, dst := vm.lowerSubs(x.Subs), vm.slot(x.Dst)
-	own := vm.lowerOwners(x.Array, a)
+	own := vm.lowerOwners(x.Array)
 	bytes := x.Typ.Bytes()
 	return func(pc int) {
 		vm.enter(line)
