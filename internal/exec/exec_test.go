@@ -551,11 +551,12 @@ func TestParallelRunsMatchSequential(t *testing.T) {
 // closures: runtime errors come back as errors, while a panic that is not
 // a runtime error reaches the caller unchanged, for the sweep layer to
 // report. The programs are broken by hand after compiling: an
-// out-of-range partitioning dimension, and a store and a fetch of an
-// element inside the array's bounds but off its map, which the owner
-// lookup's range check must still catch.
+// out-of-range partitioning dimension, and stores and a fetch of an
+// element inside the array's bounds but just off either end of its map,
+// which the owner lookup's range check must still catch.
 func TestInternalPanicsPassThrough(t *testing.T) {
-	shrinkMap := func(_ *testing.T, prog *hir.Program) { prog.Info.Symbols["A"].Map.Dims[0].Hi = 60 }
+	shrinkMap := func(_ *testing.T, prog *hir.Program) { prog.Info.Symbols["A"].Map.Dims[0].Hi = 63 }
+	raiseMap := func(_ *testing.T, prog *hir.Program) { prog.Info.Symbols["A"].Map.Dims[0].Lo = 2 }
 	for _, c := range []struct {
 		name, body string
 		breakProg  func(*testing.T, *hir.Program)
@@ -570,8 +571,9 @@ func TestInternalPanicsPassThrough(t *testing.T) {
 			}
 			t.Fatal("no partitioned loop in the compiled program")
 		}, "index out of range"},
-		{"store off the map", "A(N) = 1.0", shrinkMap, "dist: global index 64 outside [1,60]"},
-		{"fetch off the map", "X = A(N)", shrinkMap, "dist: global index 64 outside [1,60]"},
+		{"store off the map", "A(N) = 1.0", shrinkMap, "dist: global index 64 outside [1,63]"},
+		{"fetch off the map", "X = A(N)", shrinkMap, "dist: global index 64 outside [1,63]"},
+		{"store below the map", "A(1) = 1.0", raiseMap, "dist: global index 1 outside [2,64]"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			prog, err := compiler.Compile(sumHdr + c.body + "\nEND")
