@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"hpfperf"
+	"hpfperf/internal/corpus"
 )
 
 // stencilSrc builds the same block-distributed first-order recurrence-free
@@ -150,6 +151,66 @@ END PROGRAM D
 						t.Errorf("HPF0501 severity %s, want error", d.Severity)
 					}
 				}
+			}
+		})
+	}
+}
+
+// loopSrc wraps one loop in the block-distributed program of
+// stencilSrc.
+func loopSrc(loop string) string {
+	return `PROGRAM LOOP
+PARAMETER (N = 1024)
+REAL A(N), B(N)
+!HPF$ PROCESSORS P(4)
+!HPF$ TEMPLATE T(N)
+!HPF$ ALIGN A(I) WITH T(I)
+!HPF$ ALIGN B(I) WITH T(I)
+!HPF$ DISTRIBUTE T(BLOCK) ONTO P
+FORALL (K=1:N) B(K) = REAL(K)
+` + loop + `PRINT *, A(1)
+END PROGRAM LOOP
+`
+}
+
+// TestIndependentVerdictMatchesPrediction holds the INDEPENDENT
+// diagnostics to what the compiler did: a proven annotation on a DO draws
+// HPF0503 exactly when the annotated program predicts strictly less
+// than the same program without the directive, and HPF0504 exactly when
+// the two predict the same (the DO stayed sequential). The programs are
+// the seed-42 corpus's annotated ones plus proven DOs whose bodies the
+// FORALL lowering cannot take: a nested DO and an IF.
+func TestIndependentVerdictMatchesPrediction(t *testing.T) {
+	const dir = "!HPF$ INDEPENDENT\n"
+	cases := map[string]string{
+		"nested DO": loopSrc(dir + "DO I = 1, N\n  DO J = 1, 8\n    A(I) = B(I) * REAL(J)\n  END DO\nEND DO\n"),
+		"IF body":   loopSrc(dir + "DO I = 1, N\n  IF (B(I) > 2.0) THEN\n    A(I) = B(I)\n  END IF\nEND DO\n"),
+	}
+	for _, p := range corpus.Generate(42, 200) {
+		if p.Indep != 0 {
+			cases[p.Name] = p.Source
+		}
+	}
+	for name, src := range cases {
+		t.Run(name, func(t *testing.T) {
+			annotated := predictUS(t, src)
+			plain := predictUS(t, strings.ReplaceAll(src, dir, ""))
+			diags, err := hpfperf.Analyze(src)
+			if err != nil {
+				t.Fatalf("analyze: %v", err)
+			}
+			codes := map[string]bool{}
+			for _, d := range diags {
+				codes[d.Code] = true
+			}
+			proven := codes["HPF0503"] || codes["HPF0504"]
+			switch {
+			case annotated > plain:
+				t.Fatalf("INDEPENDENT raised the prediction: annotated %.3fus, plain %.3fus", annotated, plain)
+			case codes["HPF0503"] != (annotated < plain):
+				t.Errorf("HPF0503 reported %v, but annotated %.3fus vs plain %.3fus: %v", codes["HPF0503"], annotated, plain, diags)
+			case proven && codes["HPF0504"] != (annotated == plain):
+				t.Errorf("HPF0504 reported %v, but annotated %.3fus vs plain %.3fus: %v", codes["HPF0504"], annotated, plain, diags)
 			}
 		})
 	}

@@ -4,101 +4,58 @@ import (
 	"fmt"
 
 	"hpfperf/internal/analysis/dep"
-	"hpfperf/internal/ast"
-	"hpfperf/internal/sem"
 )
 
-// independentPass verifies every INDEPENDENT directive with the
-// dependence engine: the directive is a *claim* that a loop's iterations
-// are order-free, and the paper's premise — answering performance
-// questions statically — extends naturally to proving or refuting such
-// claims rather than trusting them. A proven annotation is honored by
-// the compiler (the loop is partitioned and the serialization penalty
-// disappears from predictions); a refuted one is a correctness error.
+// independentPass reports the compiler's decision on every INDEPENDENT
+// directive. The directive is a *claim* that a loop's iterations are
+// order-free, and the paper's premise — answering performance questions
+// statically — extends naturally to proving or refuting such claims
+// rather than trusting them. The compiler verifies each annotated loop
+// once with the dependence engine and records the verdict on the
+// program (hir.Program.Independent); this pass renders that record. A
+// proven annotation on a DO is honored when the DO becomes a partitioned
+// FORALL nest (the serialization penalty disappears from predictions),
+// on a FORALL when its assignments skip the evaluate-then-assign copy; a
+// refuted one is a correctness error.
 //
 // Codes: HPF0501 annotation refuted (error), HPF0502 annotation
 // unprovable and therefore not honored (warning), HPF0503 annotation
-// proven and honored (info).
+// proven and honored (info), HPF0504 annotation proven but not honored
+// because the lowering cannot convert the loop (warning).
 type independentPass struct{}
 
 func (independentPass) Name() string { return "independent" }
 
 func (independentPass) Run(u *Unit) []Diagnostic {
-	info := u.Prog.Info
-	consts := make(map[string]int64)
-	for n, v := range info.Consts {
-		if v.Type == ast.TInteger {
-			consts[n] = v.I
-		}
-	}
-	arrays := make(map[string]bool)
-	for n, s := range info.Symbols {
-		if s.Kind == sem.SymArray {
-			arrays[n] = true
-		}
-	}
-
 	var out []Diagnostic
-	check := func(line int, label string, idxs []dep.Index, body []ast.Stmt) {
-		verdict, evidence := dep.VerifyLoop(idxs, body, consts, arrays)
-		switch verdict {
-		case dep.Refuted:
-			out = append(out, Diagnostic{
-				Code:     "HPF0501",
-				Severity: SevError,
-				Line:     line,
-				Message:  fmt.Sprintf("INDEPENDENT annotation on this %s is refuted: %s", label, evidenceString(evidence)),
-				Hint:     "remove the directive (the loop carries a real dependence) or restructure the loop so iterations are disjoint",
-			})
-		case dep.Unproven:
-			out = append(out, Diagnostic{
-				Code:     "HPF0502",
-				Severity: SevWarning,
-				Line:     line,
-				Message:  fmt.Sprintf("INDEPENDENT annotation on this %s cannot be proven and is not honored: %s", label, evidenceString(evidence)),
-				Hint:     "keep subscripts affine in the loop indices with constant bounds so the dependence tests apply",
-			})
-		case dep.Proven:
-			out = append(out, Diagnostic{
-				Code:     "HPF0503",
-				Severity: SevInfo,
-				Line:     line,
-				Message:  fmt.Sprintf("INDEPENDENT annotation on this %s is proven: the loop is partitioned without the serialization penalty", label),
-			})
+	for _, rec := range u.Prog.Independent {
+		label := "DO loop"
+		if rec.Forall {
+			label = "FORALL"
 		}
-	}
-
-	var walk func(ss []ast.Stmt)
-	walk = func(ss []ast.Stmt) {
-		for _, s := range ss {
-			switch x := s.(type) {
-			case *ast.DoStmt:
-				if x.Independent {
-					idxs := []dep.Index{dep.IndexFromRange(x.Var, x.From, x.To, x.Step, consts)}
-					check(x.DoPos.Line, "DO loop", idxs, x.Body)
-				}
-				walk(x.Body)
-			case *ast.ForallStmt:
-				if x.Independent {
-					idxs := make([]dep.Index, len(x.Indices))
-					for i, ix := range x.Indices {
-						idxs[i] = dep.IndexFromRange(ix.Name, ix.Lo, ix.Hi, ix.Stride, consts)
-					}
-					check(x.ForPos.Line, "FORALL", idxs, x.Body)
-				}
-				walk(x.Body)
-			case *ast.DoWhileStmt:
-				walk(x.Body)
-			case *ast.IfStmt:
-				walk(x.Then)
-				walk(x.Else)
-			case *ast.WhereStmt:
-				walk(x.Body)
-				walk(x.ElseBody)
-			}
+		d := Diagnostic{Line: rec.Line}
+		switch {
+		case rec.Verdict == dep.Refuted:
+			d.Code, d.Severity = "HPF0501", SevError
+			d.Message = fmt.Sprintf("INDEPENDENT annotation on this %s is refuted: %s", label, evidenceString(rec.Evidence))
+			d.Hint = "remove the directive (the loop carries a real dependence) or restructure the loop so iterations are disjoint"
+		case rec.Verdict == dep.Unproven:
+			d.Code, d.Severity = "HPF0502", SevWarning
+			d.Message = fmt.Sprintf("INDEPENDENT annotation on this %s cannot be proven and is not honored: %s", label, evidenceString(rec.Evidence))
+			d.Hint = "keep subscripts affine in the loop indices with constant bounds so the dependence tests apply"
+		case !rec.Honored:
+			d.Code, d.Severity = "HPF0504", SevWarning
+			d.Message = "INDEPENDENT annotation on this DO loop is proven but not honored: the loop stays sequential"
+			d.Hint = "a proven DO is partitioned only when its body is array-element assignments the FORALL lowering accepts"
+		case rec.Forall:
+			d.Code, d.Severity = "HPF0503", SevInfo
+			d.Message = "INDEPENDENT annotation on this FORALL is proven: its assignments skip the evaluate-then-assign copy"
+		default:
+			d.Code, d.Severity = "HPF0503", SevInfo
+			d.Message = "INDEPENDENT annotation on this DO loop is proven: the loop is partitioned without the serialization penalty"
 		}
+		out = append(out, d)
 	}
-	walk(info.Prog.Body)
 	return out
 }
 

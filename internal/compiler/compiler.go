@@ -176,7 +176,7 @@ func (lw *lowerer) lowerStmt(s ast.Stmt, env *idxEnv) ([]hir.Stmt, error) {
 	case *ast.IfStmt:
 		return lw.lowerIf(x, env)
 	case *ast.ForallStmt:
-		return lw.lowerForall(x, env)
+		return lw.lowerForall(x, env, false)
 	case *ast.WhereStmt:
 		return lw.lowerWhere(x, env)
 	case *ast.PrintStmt:
@@ -194,13 +194,18 @@ func (lw *lowerer) lowerStmt(s ast.Stmt, env *idxEnv) ([]hir.Stmt, error) {
 // carrying a *proven* INDEPENDENT annotation is re-lowered as a forall
 // nest instead, giving it an owner-computes partition.
 func (lw *lowerer) lowerDo(x *ast.DoStmt, env *idxEnv) ([]hir.Stmt, error) {
-	if x.Independent && forallConvertible(x.Body) && lw.verifyIndependentDo(x) == dep.Proven {
-		if stmts, err := lw.lowerForall(forallFromDo(x), env); err == nil {
-			return stmts, nil
+	if x.Independent {
+		f := forallFromDo(x)
+		i := lw.decideIndependent(x.DoPos.Line, false, f.Indices, x.Body)
+		if lw.out.Independent[i].Verdict == dep.Proven && forallConvertible(x.Body) {
+			if stmts, err := lw.lowerForall(f, env, true); err == nil {
+				lw.out.Independent[i].Honored = true
+				return stmts, nil
+			}
+			// The nest builder rejected a shape the verifier accepted (e.g.
+			// a non-unit subscript scale on a distributed dimension): fall
+			// back to the exact sequential lowering.
 		}
-		// The nest builder rejected a shape the verifier accepted (e.g. a
-		// non-unit subscript scale on a distributed dimension): fall back
-		// to the exact sequential lowering.
 	}
 	var pre []hir.Stmt
 	lo, p1, err := lw.lowerScalarExpr(x.From, env)

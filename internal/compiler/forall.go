@@ -15,7 +15,15 @@ import (
 // owner-computes partitioned loop nests (§4.3 of the paper, Figure 2):
 // a communication level fetching off-processor data, a local computation
 // level, and (via write buffering) a final level writing computed values.
-func (lw *lowerer) lowerForall(x *ast.ForallStmt, env *idxEnv) ([]hir.Stmt, error) {
+// noBuffer drops the write buffering, which is sound only when no
+// iteration reads an element another iteration writes; an INDEPENDENT
+// annotation on x sets it from the verifier's verdict.
+func (lw *lowerer) lowerForall(x *ast.ForallStmt, env *idxEnv, noBuffer bool) ([]hir.Stmt, error) {
+	if x.Independent {
+		i := lw.decideIndependent(x.ForPos.Line, true, x.Indices, x.Body)
+		noBuffer = lw.out.Independent[i].Verdict == dep.Proven
+		lw.out.Independent[i].Honored = noBuffer
+	}
 	var out []hir.Stmt
 	type trip struct{ lo, hi, step hir.Expr }
 	trips := make([]trip, len(x.Indices))
@@ -41,10 +49,6 @@ func (lw *lowerer) lowerForall(x *ast.ForallStmt, env *idxEnv) ([]hir.Stmt, erro
 		}
 		trips[i] = trip{lo, hi, step}
 	}
-
-	// A proven INDEPENDENT annotation lets every body nest skip the
-	// double-buffer copy (no iteration reads another iteration's write).
-	noBuffer := x.Independent && lw.verifyIndependentForall(x) == dep.Proven
 
 	// Each body assignment is an independent forall (construct semantics:
 	// statements complete in sequence).

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strings"
 
+	"hpfperf/internal/analysis/dep"
 	"hpfperf/internal/ast"
 	"hpfperf/internal/sem"
 )
@@ -472,6 +473,18 @@ type TempArray struct {
 	Typ    ast.BaseType
 }
 
+// Independent is the compiler's decision on one !HPF$ INDEPENDENT
+// annotation: the dependence verifier's verdict and evidence, and
+// whether the lowering used a proven verdict (a DO became a partitioned
+// FORALL nest, or a FORALL skipped its evaluate-then-assign copy).
+type Independent struct {
+	Line     int
+	Forall   bool // the annotated loop is a FORALL, not a DO
+	Verdict  dep.Verdict
+	Evidence []dep.Evidence
+	Honored  bool
+}
+
 // Program is the compiled SPMD node program.
 type Program struct {
 	Name string
@@ -484,6 +497,8 @@ type Program struct {
 	PrivScalars []string
 	// PrivTypes records the type of each private scalar.
 	PrivTypes map[string]ast.BaseType
+	// Independent lists the INDEPENDENT annotations in source order.
+	Independent []Independent
 }
 
 // Dump renders the node program for debugging.
