@@ -7,9 +7,10 @@
 // iterations of an index space, and if so in which direction?
 //
 // The package is deliberately minimal in its inputs — ast expressions, a
-// constant environment, and the index space — so both the compiler (to
-// honor proven INDEPENDENT directives) and the analysis passes (to
-// explain refuted ones) can share it without import cycles.
+// constant environment, and the index space — so the compiler (which
+// decides INDEPENDENT directives), the node program (which records those
+// decisions) and the analysis passes (which test FORALL bodies) can
+// share it without import cycles.
 package dep
 
 import (
@@ -566,14 +567,13 @@ func TestPair(w, r []Sub, idxs []Index) Result {
 	return res
 }
 
-// spansOK checks that every index constrained to distinct iterations by
-// the vector has a range admitting them.
+// spansOK checks that the vector's iterations exist: every index has a
+// known, non-empty range (an unbounded one may iterate zero times), and
+// every index constrained to distinct iterations admits two of them.
 func spansOK(idxs []Index, dirs []Dir) bool {
 	for k, d := range dirs {
-		if d == DirEQ {
-			continue
-		}
-		if !idxs[k].Bounded || idxs[k].Hi <= idxs[k].Lo {
+		ix := idxs[k]
+		if !ix.Bounded || ix.Hi < ix.Lo || (d != DirEQ && ix.Hi == ix.Lo) {
 			return false
 		}
 	}
