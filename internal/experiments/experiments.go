@@ -68,11 +68,14 @@ type Config struct {
 	// run renders byte-identical output. The file is removed when the
 	// sweep completes.
 	CheckpointDir string
+	// CheckpointFlushEvery bounds completed points between durable
+	// checkpoint writes (<= 0 writes after every point).
+	CheckpointFlushEvery int
 	// CheckpointFlush, when set with CheckpointDir, observes every
-	// durable checkpoint write: the artifact name and the number of
-	// completed points on file. The async jobs subsystem journals these
-	// as checkpointed(n) state transitions.
-	CheckpointFlush func(artifact string, done int)
+	// durable checkpoint write with the number of completed points on
+	// file. The async jobs subsystem journals these as checkpointed(n)
+	// state transitions.
+	CheckpointFlush func(done int)
 }
 
 // DefaultConfig returns the full-fidelity experiment configuration.
@@ -113,11 +116,10 @@ func (c Config) checkpoint(artifact string) *sweep.Checkpoint {
 		return nil
 	}
 	ck := &sweep.Checkpoint{
-		Path: filepath.Join(c.CheckpointDir, artifact+".ckpt"),
-		Key:  fmt.Sprintf("%s|quick=%t|runs=%d|perturb=%g", artifact, c.Quick, c.Runs, c.Perturb),
-	}
-	if c.CheckpointFlush != nil {
-		ck.OnFlush = func(done int) { c.CheckpointFlush(artifact, done) }
+		Path:       filepath.Join(c.CheckpointDir, artifact+".ckpt"),
+		Key:        fmt.Sprintf("%s|quick=%t|runs=%d|perturb=%g", artifact, c.Quick, c.Runs, c.Perturb),
+		FlushEvery: c.CheckpointFlushEvery,
+		OnFlush:    c.CheckpointFlush,
 	}
 	if c.Log != nil {
 		ck.Warnf = func(format string, args ...any) { c.logf(format+"\n", args...) }

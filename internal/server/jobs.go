@@ -431,8 +431,8 @@ func (s *Server) runJobExperiment(ctx context.Context, req *ExperimentJobRequest
 	cfg.Engine = s.eng
 	cfg.Ctx = ctx
 	cfg.CheckpointDir = env.CheckpointDir
-	cfg.CheckpointFlush = func(_ string, done int) { env.Progress(done) }
-	_ = flushEvery // experiments flush every point; the grid is coarse
+	cfg.CheckpointFlushEvery = flushEvery
+	cfg.CheckpointFlush = env.Progress
 
 	var out string
 	switch req.Artifact {

@@ -190,6 +190,51 @@ func TestJobSubmitValidationErrors(t *testing.T) {
 	}
 }
 
+// TestExperimentJobFlushEvery pins that an experiment job honors
+// options.flush_every: a quick table2 job that flushes every 32 points
+// journals at most ⌈points/32⌉ checkpointed transitions, where one that
+// flushes after every point journals one per point, and both render the
+// same table.
+func TestExperimentJobFlushEvery(t *testing.T) {
+	_, base := newJobsServer(t, Config{}, jobs.Config{})
+	run := func(every int) (jobs.JobView, string) {
+		t.Helper()
+		resp, body := post(t, base+"/v1/jobs", JobSubmitRequest{
+			Kind:       JobKindExperiment,
+			Experiment: &ExperimentJobRequest{Artifact: "table2", Quick: true},
+			Options:    &JobOptions{FlushEvery: every},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit status = %d: %s", resp.StatusCode, body)
+		}
+		var sub JobSubmitResponse
+		if err := json.Unmarshal(body, &sub); err != nil {
+			t.Fatal(err)
+		}
+		v := pollJob(t, base, sub.Job.ID)
+		if v.State != jobs.StateDone {
+			t.Fatalf("flush_every %d: state = %s (err %q)", every, v.State, v.Error)
+		}
+		var res ExperimentJobResult
+		if err := json.Unmarshal(v.Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		return v, res.Output
+	}
+	batched, batchedOut := run(32)
+	each, eachOut := run(0)
+	points := each.Done
+	if points == 0 || each.Checkpoints != points {
+		t.Fatalf("flush_every 0 journaled %d checkpoints over %d points, want one per point", each.Checkpoints, points)
+	}
+	if max := (points + 31) / 32; batched.Checkpoints > max {
+		t.Errorf("flush_every 32 journaled %d checkpoints over %d points, want at most %d", batched.Checkpoints, points, max)
+	}
+	if batchedOut != eachOut {
+		t.Errorf("flush_every changed the rendered table:\n%s\nvs\n%s", batchedOut, eachOut)
+	}
+}
+
 func TestJobListAndCancel(t *testing.T) {
 	s, base := newJobsServer(t, Config{}, jobs.Config{Workers: 1})
 	// Occupy the single worker so the second submission stays queued.
