@@ -267,13 +267,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-func writeError(w http.ResponseWriter, status int, stage string, err error, meta reqMeta) {
-	writeJSON(w, status, ErrorResponse{
-		Error: err.Error(), Stage: stage,
-		RequestID: meta.reqID, TraceID: meta.traceID,
-	})
-}
-
 // apiError carries an HTTP status and stage label through a handler.
 // estCost/costLimit are set by the cost-admission gate so its 429s can
 // carry the static estimate in the response body. retryAfter is the

@@ -45,33 +45,24 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if cursor != "" {
 		n, err := strconv.Atoi(cursor)
 		if err != nil || n < 0 {
-			s.recordRequest(routeEvents, http.StatusBadRequest)
-			writeError(w, http.StatusBadRequest, "decode",
-				fmt.Errorf("Last-Event-ID must be a non-negative event sequence number, got %q", cursor), meta)
+			s.recordRequest(routeEvents, s.fail(w, routeEvents, meta, errf(http.StatusBadRequest, "decode",
+				"Last-Event-ID must be a non-negative event sequence number, got %q", cursor)))
 			return
 		}
 		after = n
 	}
 	sub, err := s.jobs.Subscribe(r.PathValue("id"), after)
-	switch {
-	case err == nil:
-	case err == jobs.ErrNotFound:
-		s.recordRequest(routeEvents, http.StatusNotFound)
-		writeError(w, http.StatusNotFound, "jobs", err, meta)
-		return
-	case err == jobs.ErrDraining:
-		s.recordRequest(routeEvents, http.StatusServiceUnavailable)
-		retryAfterHeader(w, time.Second)
-		writeError(w, http.StatusServiceUnavailable, "overload", err, meta)
-		return
-	case err == jobs.ErrSubscriberLimit:
-		s.recordRequest(routeEvents, http.StatusTooManyRequests)
-		retryAfterHeader(w, time.Second)
-		writeError(w, http.StatusTooManyRequests, "overload", err, meta)
-		return
-	default:
-		s.recordRequest(routeEvents, http.StatusInternalServerError)
-		writeError(w, http.StatusInternalServerError, "jobs", err, meta)
+	if err != nil {
+		aerr := &apiError{status: http.StatusInternalServerError, stage: "jobs", err: err}
+		switch err {
+		case jobs.ErrNotFound:
+			aerr.status = http.StatusNotFound
+		case jobs.ErrDraining:
+			aerr.status, aerr.stage = http.StatusServiceUnavailable, "overload"
+		case jobs.ErrSubscriberLimit:
+			aerr.status, aerr.stage = http.StatusTooManyRequests, "overload"
+		}
+		s.recordRequest(routeEvents, s.fail(w, routeEvents, meta, aerr))
 		return
 	}
 	defer sub.Cancel()
@@ -79,9 +70,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	// The drain check follows Subscribe, so once jobs.Drain has run the
 	// refusal is still the ErrDraining one above.
 	if aerr := s.enter(); aerr != nil {
-		s.recordRequest(routeEvents, aerr.status)
-		retryAfterHeader(w, aerr.retryAfter)
-		writeError(w, aerr.status, aerr.stage, aerr.err, meta)
+		s.recordRequest(routeEvents, s.fail(w, routeEvents, meta, aerr))
 		return
 	}
 	defer s.inflight.Done()

@@ -2,15 +2,19 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"hpfperf/internal/jobs"
+	"hpfperf/internal/obs"
 )
 
 // sseClient reads one GET /v1/jobs/{id}/events stream.
@@ -280,5 +284,72 @@ func TestJobEventsHeartbeat(t *testing.T) {
 	}
 	if _, _, ok := c.next(t); ok {
 		t.Fatal("stream kept going after the terminal event")
+	}
+}
+
+// lockedBuffer is a log sink the handler goroutines and the test share.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestJobRefusalsLogged: the job routes outside api() refuse through
+// fail, so a refusal's request_id names a "request failed" log line. A
+// subscriber-limit 429 on the event stream and a GET of an unknown job
+// each log exactly one such line, with the stage of the response body.
+func TestJobRefusalsLogged(t *testing.T) {
+	var logs lockedBuffer
+	release := make(chan struct{})
+	defer close(release)
+	held := func(ctx context.Context, _ jobs.JobView, _ jobs.ExecEnv) (json.RawMessage, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return json.RawMessage(`{}`), nil
+	}
+	_, base := newJobsServer(t, Config{Log: obs.NewLogger(&logs, slog.LevelInfo)},
+		jobs.Config{MaxSubscribers: 1, Exec: held})
+	id := submitPredictJob(t, base, 2)
+	openSSE(t, base, id, 0) // takes the only subscriber slot
+
+	for _, c := range []struct {
+		path       string
+		wantStatus int
+	}{
+		{"/v1/jobs/" + id + "/events", http.StatusTooManyRequests},
+		{"/v1/jobs/no-such-job", http.StatusNotFound},
+	} {
+		var er ErrorResponse
+		resp := getJSON(t, base+c.path, &er)
+		if resp.StatusCode != c.wantStatus || er.RequestID == "" {
+			t.Fatalf("GET %s: %d %+v, want %d with a request_id", c.path, resp.StatusCode, er, c.wantStatus)
+		}
+		if ra := resp.Header.Get("Retry-After"); (c.wantStatus == http.StatusTooManyRequests) != (ra == "1") {
+			t.Errorf("GET %s: Retry-After %q", c.path, ra)
+		}
+		var lines []map[string]any
+		for _, l := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(l), &rec); err == nil && rec["request_id"] == er.RequestID {
+				lines = append(lines, rec)
+			}
+		}
+		if len(lines) != 1 || lines[0]["msg"] != "request failed" || lines[0]["stage"] != er.Stage {
+			t.Errorf("GET %s (stage %q): log lines for request %s = %v, want one \"request failed\" line with that stage",
+				c.path, er.Stage, er.RequestID, lines)
+		}
 	}
 }

@@ -260,9 +260,8 @@ func (s *Server) jobsDisabled(w http.ResponseWriter, meta reqMeta) bool {
 	if s.jobs != nil {
 		return false
 	}
-	s.recordRequest(routeJobs, http.StatusNotImplemented)
-	writeError(w, http.StatusNotImplemented, "jobs",
-		fmt.Errorf("async jobs are disabled (start hpfserve with -jobs-dir)"), meta)
+	s.recordRequest(routeJobs, s.fail(w, routeJobs, meta, errf(http.StatusNotImplemented, "jobs",
+		"async jobs are disabled (start hpfserve with -jobs-dir)")))
 	return true
 }
 
@@ -285,8 +284,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	}
 	view, err := s.jobs.Get(r.PathValue("id"))
 	if err != nil {
-		s.recordRequest(routeJobs, http.StatusNotFound)
-		writeError(w, http.StatusNotFound, "jobs", err, meta)
+		s.recordRequest(routeJobs, s.fail(w, routeJobs, meta, &apiError{status: http.StatusNotFound, stage: "jobs", err: err}))
 		return
 	}
 	if !view.State.Terminal() {
@@ -304,8 +302,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	view, err := s.jobs.Cancel(r.PathValue("id"))
 	if err != nil {
-		s.recordRequest(routeJobs, http.StatusNotFound)
-		writeError(w, http.StatusNotFound, "jobs", err, meta)
+		s.recordRequest(routeJobs, s.fail(w, routeJobs, meta, &apiError{status: http.StatusNotFound, stage: "jobs", err: err}))
 		return
 	}
 	s.recordRequest(routeJobs, http.StatusOK)

@@ -439,7 +439,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("traceparent", obs.FormatTraceparent(meta.traceID))
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "decode", fmt.Errorf("use GET"), meta)
+		s.fail(w, "traces", meta, errf(http.StatusMethodNotAllowed, "decode", "use GET"))
 		return
 	}
 	writeJSON(w, http.StatusOK, TracesResponse{Traces: s.ring.Snapshot()})
