@@ -50,9 +50,6 @@ type Options struct {
 	// Values supplies user-specified critical variable values (§4.2:
 	// "or by allowing the user to explicitly specify their values").
 	Values map[string]sem.Value
-	// CommLibrary overrides the calibrated collective models (when nil
-	// the engine calibrates against the simulated machine off-line).
-	CommLibrary *ipsc.CommLibrary
 	// SimpleCommModel collapses the piecewise (short/long protocol)
 	// collective models into single linear fits — an ablation of the
 	// characterization fidelity.
@@ -179,16 +176,12 @@ func NewContext(ctx context.Context, prog *hir.Program, mach *sysmodel.Machine, 
 	if procs > mach.MaxNodes {
 		return nil, fmt.Errorf("core: program needs %d processors, %s has %d", procs, mach.Name, mach.MaxNodes)
 	}
-	lib := opts.CommLibrary
-	if lib == nil {
-		cs := obs.SpanFromContext(ctx).StartChild("calibrate")
-		cs.SetAttrInt("procs", procs)
-		var err error
-		lib, err = calibratedLib(ctx, mach, procs)
-		cs.End()
-		if err != nil {
-			return nil, err
-		}
+	cs := obs.SpanFromContext(ctx).StartChild("calibrate")
+	cs.SetAttrInt("procs", procs)
+	lib, err := calibratedLib(ctx, mach, procs)
+	cs.End()
+	if err != nil {
+		return nil, err
 	}
 	pinned := make(map[string]bool)
 	for k := range opts.Values {

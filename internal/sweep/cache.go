@@ -393,27 +393,18 @@ func compileKey(src string, opts compiler.Options) string {
 // ones core.CompilePrediction binds into the compiled form. Values and
 // TripCounts are deliberately excluded: they are per-evaluation inputs
 // of Compiled.EvaluateWith, so one cached form serves every combination
-// of them. An injected CommLibrary has no stable identity across
-// mutations, so such runs are never cached.
-func predictFingerprint(opts core.Options) (string, bool) {
-	if opts.CommLibrary != nil {
-		return "", false
-	}
+// of them.
+func predictFingerprint(opts core.Options) string {
 	return fmt.Sprintf("mem=%t|load=%d|mask=%g|branch=%g|simple=%t",
-		opts.MemoryModel, opts.LoadModel, opts.MaskDensity, opts.BranchProb, opts.SimpleCommModel), true
+		opts.MemoryModel, opts.LoadModel, opts.MaskDensity, opts.BranchProb, opts.SimpleCommModel)
 }
 
-// interpFingerprint renders core.Options deterministically, or reports
-// that the options cannot be fingerprinted. It extends the static
-// predict fingerprint with the dynamic inputs (trip counts, pinned
-// values), since a whole report is specific to both.
-func interpFingerprint(opts core.Options) (string, bool) {
-	static, ok := predictFingerprint(opts)
-	if !ok {
-		return "", false
-	}
+// interpFingerprint renders core.Options deterministically. It extends
+// the static predict fingerprint with the dynamic inputs (trip counts,
+// pinned values), since a whole report is specific to both.
+func interpFingerprint(opts core.Options) string {
 	var b strings.Builder
-	b.WriteString(static)
+	b.WriteString(predictFingerprint(opts))
 	if len(opts.TripCounts) > 0 {
 		lines := make([]int, 0, len(opts.TripCounts))
 		for l := range opts.TripCounts {
@@ -435,7 +426,7 @@ func interpFingerprint(opts core.Options) (string, bool) {
 			fmt.Fprintf(&b, "|val%s=%d:%d:%g:%t", n, v.Type, v.I, v.R, v.B)
 		}
 	}
-	return b.String(), true
+	return b.String()
 }
 
 // poisoned reports whether a build error must not be memoized:
@@ -533,15 +524,9 @@ func (c *Cache) Measure(ctx context.Context, src string, copts compiler.Options,
 // static options of iopts on the named machine abstraction ("" =
 // iPSC/860 default), built at most once per live key. The form is
 // shared and concurrency-safe, so sweeps that vary only
-// Values/TripCounts evaluate one form with EvaluateWith. Uncacheable
-// options (injected CommLibrary) build a private form.
-func (p *Program) Form(ctx context.Context, iopts core.Options, machine string, stats *Stats) (cp *core.Compiled, err error) {
-	fp, cacheable := predictFingerprint(iopts)
-	if !cacheable {
-		defer recoverToErr("predict", &err)
-		return p.buildForm(ctx, iopts, machine)
-	}
-	return lookup(ctx, p.c, p, &p.forms, kindForm, "mach="+machine+"|"+fp, stats, func(*cell[*core.Compiled]) (*core.Compiled, error) {
+// Values/TripCounts evaluate one form with EvaluateWith.
+func (p *Program) Form(ctx context.Context, iopts core.Options, machine string, stats *Stats) (*core.Compiled, error) {
+	return lookup(ctx, p.c, p, &p.forms, kindForm, "mach="+machine+"|"+predictFingerprint(iopts), stats, func(*cell[*core.Compiled]) (*core.Compiled, error) {
 		return p.buildForm(ctx, iopts, machine)
 	})
 }
@@ -567,16 +552,11 @@ func (p *Program) buildForm(ctx context.Context, iopts core.Options, machine str
 
 // Interpret returns the entry's interpretation report for iopts on the
 // named machine abstraction ("" = iPSC/860 default), memoizing whole
-// reports when the options are fingerprintable. Every report miss,
-// traced or not, evaluates the entry's prediction form. The builder
-// honors ctx: a report whose construction was cancelled is dropped so
-// a later request rebuilds it.
+// reports. Every report miss, traced or not, evaluates the entry's
+// prediction form. The builder honors ctx: a report whose construction
+// was cancelled is dropped so a later request rebuilds it.
 func (p *Program) Interpret(ctx context.Context, iopts core.Options, machine string, stats *Stats) (*core.Report, error) {
-	fp, cacheable := interpFingerprint(iopts)
-	if !cacheable {
-		return p.interpret(ctx, iopts, machine, stats)
-	}
-	return lookup(ctx, p.c, p, &p.reports, kindReport, "mach="+machine+"|"+fp, stats, func(*cell[*core.Report]) (*core.Report, error) {
+	return lookup(ctx, p.c, p, &p.reports, kindReport, "mach="+machine+"|"+interpFingerprint(iopts), stats, func(*cell[*core.Report]) (*core.Report, error) {
 		if err := faults.Fire(faults.SiteCache); err != nil {
 			return nil, err
 		}
@@ -587,8 +567,7 @@ func (p *Program) Interpret(ctx context.Context, iopts core.Options, machine str
 // interpret evaluates the prediction form under iopts'
 // Values/TripCounts. Its interp span covers the form lookup or build and
 // the evaluation; the interpret stage time counts the evaluation only.
-func (p *Program) interpret(ctx context.Context, iopts core.Options, machine string, stats *Stats) (rep *core.Report, err error) {
-	defer recoverToErr("interpret", &err)
+func (p *Program) interpret(ctx context.Context, iopts core.Options, machine string, stats *Stats) (*core.Report, error) {
 	ictx, span := obs.Start(ctx, "interp")
 	defer span.End()
 	cp, err := p.Form(ictx, iopts, machine, stats)
@@ -596,7 +575,7 @@ func (p *Program) interpret(ctx context.Context, iopts core.Options, machine str
 		return nil, err
 	}
 	start := time.Now()
-	rep, err = cp.EvaluateWith(ictx, iopts.Values, iopts.TripCounts)
+	rep, err := cp.EvaluateWith(ictx, iopts.Values, iopts.TripCounts)
 	if stats != nil {
 		stats.Interps.Add(1)
 		stats.InterpNS.Add(int64(time.Since(start)))

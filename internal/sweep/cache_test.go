@@ -10,7 +10,6 @@ import (
 
 	"hpfperf/internal/compiler"
 	"hpfperf/internal/core"
-	"hpfperf/internal/ipsc"
 	"hpfperf/internal/obs"
 )
 
@@ -231,17 +230,6 @@ func TestInterpretMachineKeyedSeparately(t *testing.T) {
 	}
 	if got := stats.ReportMisses.Load(); got != 2 {
 		t.Errorf("report misses = %d, want 2 (distinct keys)", got)
-	}
-}
-
-func TestInterpFingerprintUncacheableCommLibrary(t *testing.T) {
-	opts := core.DefaultOptions()
-	if _, ok := interpFingerprint(opts); !ok {
-		t.Fatal("default options should be fingerprintable")
-	}
-	opts.CommLibrary = &ipsc.CommLibrary{}
-	if _, ok := interpFingerprint(opts); ok {
-		t.Fatal("injected CommLibrary must not be fingerprintable")
 	}
 }
 

@@ -221,8 +221,8 @@ func (e *Engine) Program(ctx context.Context, src string, opts compiler.Options)
 	return e.cache.Program(ctx, src, opts, e.stats)
 }
 
-// Interpret compiles (cached) and interprets (cached when the options
-// are fingerprintable) src on the default machine abstraction.
+// Interpret compiles and interprets src on the default machine
+// abstraction, both through the cache.
 func (e *Engine) Interpret(src string, copts compiler.Options, iopts core.Options) (*core.Report, error) {
 	return e.InterpretContext(context.Background(), src, copts, iopts)
 }
