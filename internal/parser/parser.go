@@ -1,6 +1,10 @@
 // Package parser implements a recursive-descent parser for the HPF/Fortran
 // 90D subset, producing the AST of package ast. This is the first step of
-// compilation phase 1 in the paper (§4.1 step 1).
+// compilation phase 1 in the paper (§4.1 step 1). The parser streams its
+// tokens: it pulls each one from the scanner when it advances, keeping
+// only the current token and the next, so parsing allocates nothing per
+// token. Lexical errors still come first in the error list, as if the
+// whole source had been scanned before parsing began.
 package parser
 
 import (
@@ -43,41 +47,59 @@ func (l ErrorList) Error() string {
 
 // Parse parses a complete HPF/Fortran 90D program unit.
 func Parse(src string) (*ast.Program, error) {
-	toks, scanErrs := scanner.ScanAll(src)
-	p := &parser{toks: toks}
-	for _, e := range scanErrs {
-		p.errs = append(p.errs, &Error{Pos: e.Pos, Msg: e.Msg})
+	p := &parser{src: src, sc: scanner.New(src), lexErrs: -1}
+	p.tok = p.sc.Scan()
+	p.ahead = p.tok
+	if p.tok.Kind != token.EOF {
+		p.ahead = p.sc.Scan()
 	}
 	prog := p.parseProgram()
-	if len(p.errs) > 0 {
-		return prog, p.errs
+	// Drain the scanner, so that lexical errors after END are reported.
+	for p.ahead.Kind != token.EOF {
+		p.ahead = p.sc.Scan()
 	}
-	return prog, nil
+	lex := p.sc.Errors()
+	if len(lex)+len(p.errs) == 0 {
+		return prog, nil
+	}
+	// Lexical errors come first, then syntax errors.
+	errs := make(ErrorList, 0, len(lex)+len(p.errs))
+	for _, e := range lex {
+		errs = append(errs, &Error{Pos: e.Pos, Msg: e.Msg})
+	}
+	return prog, append(errs, p.errs...)
 }
 
+// parser pulls its tokens from the scanner as it goes: it only ever
+// looks at the current token and the one after it, so it keeps just
+// that two-token window and never builds a token slice.
 type parser struct {
-	toks []token.Token
-	i    int
-	errs ErrorList
+	src   string
+	sc    *scanner.Scanner
+	tok   token.Token // current token
+	ahead token.Token // the token after tok; EOF once tok is EOF
+	errs  ErrorList   // syntax errors only
+	// lexErrs is the number of lexical errors in the whole source, or
+	// -1 until the first syntax error needs it.
+	lexErrs int
 }
 
 // bailout is used with panic/recover for unrecoverable statement errors;
 // the statement loop resynchronizes at the next NEWLINE.
 type bailout struct{}
 
-func (p *parser) cur() token.Token { return p.toks[p.i] }
-func (p *parser) kind() token.Kind { return p.toks[p.i].Kind }
-func (p *parser) peek() token.Token {
-	if p.i+1 < len(p.toks) {
-		return p.toks[p.i+1]
-	}
-	return p.toks[len(p.toks)-1]
-}
+func (p *parser) cur() token.Token  { return p.tok }
+func (p *parser) kind() token.Kind  { return p.tok.Kind }
+func (p *parser) peek() token.Token { return p.ahead }
 
+// advance moves the window one token on; it stays put at EOF.
 func (p *parser) advance() token.Token {
-	t := p.toks[p.i]
-	if p.i < len(p.toks)-1 {
-		p.i++
+	t := p.tok
+	if t.Kind != token.EOF {
+		p.tok = p.ahead
+		if p.ahead.Kind != token.EOF {
+			p.ahead = p.sc.Scan()
+		}
 	}
 	return t
 }
@@ -102,9 +124,23 @@ func (p *parser) expect(k token.Kind) token.Token {
 
 func (p *parser) errorf(format string, args ...any) {
 	p.errs = append(p.errs, &Error{Pos: p.cur().Pos, Msg: fmt.Sprintf(format, args...)})
-	if len(p.errs) > 50 {
+	if p.lexErrs < 0 {
+		p.lexErrs = lexErrorCount(p.src)
+	}
+	if p.lexErrs+len(p.errs) > 50 {
 		panic(bailout{}) // avoid error cascades on badly corrupt input
 	}
+}
+
+// lexErrorCount scans the whole source once more and counts its lexical
+// errors. The cascade cap counts every error in the list, lexical ones
+// included, but the parser's own scanner has only reached the current
+// token; only a source with a syntax error pays for this second scan.
+func lexErrorCount(src string) int {
+	s := scanner.New(src)
+	for s.Scan().Kind != token.EOF {
+	}
+	return len(s.Errors())
 }
 
 // skipNewlines consumes any run of statement separators.

@@ -1,6 +1,9 @@
 package parser
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -458,5 +461,47 @@ func TestSemicolonSeparatedStatements(t *testing.T) {
 	prog := mustParse(t, "PROGRAM d\nX = 1; Y = 2\nEND")
 	if len(prog.Body) != 2 {
 		t.Errorf("body = %d", len(prog.Body))
+	}
+}
+
+// parseAllocs returns the objects and bytes one Parse of src allocates,
+// each the least over a few runs, so that an allocation elsewhere in the
+// process cannot inflate it.
+func parseAllocs(t *testing.T, src string) (objects, bytes uint64) {
+	t.Helper()
+	objects, bytes = math.MaxUint64, math.MaxUint64
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		_, err := Parse(src)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return objects, bytes
+}
+
+// TestParseAllocsIgnoreTokenCount holds the parser to allocating per
+// AST node, not per token: a program and its twin, whose right-hand
+// sides sit inside 16 redundant parenthesis pairs (the same AST from 32
+// more tokens a statement), allocate the same objects and bytes.
+func TestParseAllocsIgnoreTokenCount(t *testing.T) {
+	const stmts = 200
+	plain, nested := "PROGRAM P\nREAL A(10)\n", "PROGRAM P\nREAL A(10)\n"
+	for i := 0; i < stmts; i++ {
+		rhs := fmt.Sprintf("A(%d) * 2.5 + X", i%10+1)
+		plain += "X = " + rhs + "\n"
+		nested += "X = " + strings.Repeat("(", 16) + rhs + strings.Repeat(")", 16) + "\n"
+	}
+	plain += "END\n"
+	nested += "END\n"
+	po, pb := parseAllocs(t, plain)
+	no, nb := parseAllocs(t, nested)
+	if po != no || pb != nb {
+		t.Errorf("plain program allocates %d objects, %d bytes; its parenthesized twin %d objects, %d bytes",
+			po, pb, no, nb)
 	}
 }

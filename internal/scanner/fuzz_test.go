@@ -39,7 +39,7 @@ func seedCorpus(f *testing.F) {
 func FuzzScanner(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, src string) {
-		toks, errs := ScanAll(src)
+		toks, errs := scanAll(src)
 		for _, tok := range toks {
 			if tok.Pos.Line < 1 {
 				t.Fatalf("token %v at invalid line %d", tok.Kind, tok.Pos.Line)

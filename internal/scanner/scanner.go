@@ -19,9 +19,10 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// Scanner tokenizes a single HPF/Fortran 90D source text.
+// Scanner tokenizes a single HPF/Fortran 90D source text. It indexes
+// the source string directly, so scanning never copies it.
 type Scanner struct {
-	src  []byte
+	src  string
 	off  int  // byte offset of next unread char
 	line int  // current 1-based line
 	col  int  // current 1-based column
@@ -37,7 +38,7 @@ const eof = -1
 
 // New returns a Scanner over src.
 func New(src string) *Scanner {
-	s := &Scanner{src: []byte(src), line: 1, col: 0, atLineBeg: true}
+	s := &Scanner{src: src, line: 1, col: 0, atLineBeg: true}
 	s.next()
 	return s
 }
@@ -162,7 +163,7 @@ func (s *Scanner) scanBangLine() (token.Token, bool) {
 	pos := s.pos()
 	// Try to match HPF$ after '!'.
 	rest := s.src[s.off:]
-	if len(rest) >= 4 && strings.EqualFold(string(rest[:4]), "HPF$") && s.atLineBeg {
+	if len(rest) >= 4 && strings.EqualFold(rest[:4], "HPF$") && s.atLineBeg {
 		s.next() // '!'
 		for i := 0; i < 4; i++ {
 			s.next()
@@ -263,13 +264,22 @@ func (s *Scanner) scanToken() token.Token {
 	return token.Token{Kind: token.ILLEGAL, Text: string(ch), Pos: pos}
 }
 
+// offset returns the byte offset of the current character.
+func (s *Scanner) offset() int {
+	if s.ch == eof {
+		return len(s.src)
+	}
+	return s.off - 1
+}
+
 func (s *Scanner) scanIdent(pos token.Pos) token.Token {
-	var b strings.Builder
+	start := s.offset()
 	for isIdent(s.ch) {
-		b.WriteRune(s.ch)
 		s.next()
 	}
-	upper := strings.ToUpper(b.String())
+	// Upper-casing an already upper-case word returns it unchanged, so an
+	// upper-case identifier's text is a slice of the source.
+	upper := strings.ToUpper(s.src[start:s.offset()])
 	kind := token.Lookup(upper, s.directive)
 	// "END DO", "END IF", "ELSE IF", "END FORALL", "END WHERE",
 	// "END PROGRAM" are joined by the parser, not here.
@@ -279,102 +289,101 @@ func (s *Scanner) scanIdent(pos token.Pos) token.Token {
 // scanDotWord scans .WORD. operators and logical literals.
 func (s *Scanner) scanDotWord(pos token.Pos) token.Token {
 	s.next() // consume '.'
-	var b strings.Builder
+	start := s.offset()
 	for isLetter(s.ch) {
-		b.WriteRune(s.ch)
 		s.next()
 	}
-	word := strings.ToUpper(b.String())
+	word := strings.ToUpper(s.src[start:s.offset()])
 	if s.ch != '.' {
 		s.errorf(pos, "malformed dot-operator .%s", word)
 		return token.Token{Kind: token.ILLEGAL, Text: "." + word, Pos: pos}
 	}
 	s.next() // trailing '.'
-	mk := func(k token.Kind) token.Token {
-		return token.Token{Kind: k, Text: "." + word + ".", Pos: pos}
+	mk := func(k token.Kind, text string) token.Token {
+		return token.Token{Kind: k, Text: text, Pos: pos}
 	}
 	switch word {
 	case "TRUE", "FALSE":
 		return token.Token{Kind: token.LOGICALLIT, Text: word, Pos: pos}
 	case "AND":
-		return mk(token.AND)
+		return mk(token.AND, ".AND.")
 	case "OR":
-		return mk(token.OR)
+		return mk(token.OR, ".OR.")
 	case "NOT":
-		return mk(token.NOT)
+		return mk(token.NOT, ".NOT.")
 	case "EQV":
-		return mk(token.EQV)
+		return mk(token.EQV, ".EQV.")
 	case "NEQV":
-		return mk(token.NEQV)
+		return mk(token.NEQV, ".NEQV.")
 	case "EQ":
-		return mk(token.EQ)
+		return mk(token.EQ, ".EQ.")
 	case "NE":
-		return mk(token.NE)
+		return mk(token.NE, ".NE.")
 	case "LT":
-		return mk(token.LT)
+		return mk(token.LT, ".LT.")
 	case "LE":
-		return mk(token.LE)
+		return mk(token.LE, ".LE.")
 	case "GT":
-		return mk(token.GT)
+		return mk(token.GT, ".GT.")
 	case "GE":
-		return mk(token.GE)
+		return mk(token.GE, ".GE.")
 	}
 	s.errorf(pos, "unknown dot-operator .%s.", word)
 	return token.Token{Kind: token.ILLEGAL, Text: "." + word + ".", Pos: pos}
 }
 
 // scanNumber scans integer and real literals. leadingDot is true when the
-// literal started with '.' (e.g. ".5").
+// literal started with '.' (e.g. ".5"). The text is a slice of the source,
+// except that a d, D or E exponent letter is normalized to e for strconv.
 func (s *Scanner) scanNumber(pos token.Pos, leadingDot bool) token.Token {
-	var b strings.Builder
+	start := s.offset()
 	isReal := false
 	if leadingDot {
-		b.WriteByte('.')
 		isReal = true
 		s.next()
 	}
 	for isDigit(s.ch) {
-		b.WriteRune(s.ch)
 		s.next()
 	}
 	// Fractional part. Careful: "1." followed by a dot-op like 1..AND. is not
 	// valid Fortran we need to support; but "(1:N)" uses ':' so no conflict.
 	if !leadingDot && s.ch == '.' && !isLetter(s.peek()) {
 		isReal = true
-		b.WriteByte('.')
 		s.next()
 		for isDigit(s.ch) {
-			b.WriteRune(s.ch)
 			s.next()
 		}
 	}
-	// Exponent: e, E, d, D.
+	exp := -1 // offset of a exponent letter other than 'e'
+	// Exponent: e, E, d, D. A bare letter after a number is left for the
+	// next token (e.g. a 2D array typo).
 	if s.ch == 'e' || s.ch == 'E' || s.ch == 'd' || s.ch == 'D' {
-		save := s.ch
 		if isDigit(s.peek()) || s.peek() == '+' || s.peek() == '-' {
 			isReal = true
-			b.WriteByte('e') // normalize d-exponent to e for strconv
+			if s.ch != 'e' {
+				exp = s.offset()
+			}
 			s.next()
 			if s.ch == '+' || s.ch == '-' {
-				b.WriteRune(s.ch)
 				s.next()
 			}
 			if !isDigit(s.ch) {
 				s.errorf(pos, "malformed exponent in numeric literal")
 			}
 			for isDigit(s.ch) {
-				b.WriteRune(s.ch)
 				s.next()
 			}
-		} else {
-			_ = save // bare letter after number: leave for next token (e.g. 2D array typo)
 		}
+	}
+	text := s.src[start:s.offset()]
+	if exp >= 0 {
+		text = s.src[start:exp] + "e" + s.src[exp+1:s.offset()]
 	}
 	kind := token.INTLIT
 	if isReal {
 		kind = token.REALLIT
 	}
-	return token.Token{Kind: kind, Text: b.String(), Pos: pos}
+	return token.Token{Kind: kind, Text: text, Pos: pos}
 }
 
 func (s *Scanner) scanString(pos token.Pos, quote rune) token.Token {
@@ -403,17 +412,3 @@ func (s *Scanner) scanString(pos token.Pos, quote rune) token.Token {
 }
 
 func byte2rune(b byte) rune { return rune(b) }
-
-// ScanAll tokenizes the entire input, returning all tokens up to and
-// including the first EOF token.
-func ScanAll(src string) ([]token.Token, []*Error) {
-	s := New(src)
-	var toks []token.Token
-	for {
-		t := s.Scan()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks, s.Errors()
-		}
-	}
-}

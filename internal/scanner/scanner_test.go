@@ -6,9 +6,23 @@ import (
 	"hpfperf/internal/token"
 )
 
+// scanAll tokenizes the entire input, returning all tokens up to and
+// including the first EOF token.
+func scanAll(src string) ([]token.Token, []*Error) {
+	s := New(src)
+	var toks []token.Token
+	for {
+		t := s.Scan()
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			return toks, s.Errors()
+		}
+	}
+}
+
 func kinds(t *testing.T, src string) []token.Kind {
 	t.Helper()
-	toks, errs := ScanAll(src)
+	toks, errs := scanAll(src)
 	for _, e := range errs {
 		t.Errorf("scan error: %v", e)
 	}
@@ -44,7 +58,7 @@ func TestCaseInsensitiveKeywords(t *testing.T) {
 }
 
 func TestIdentUpperCased(t *testing.T) {
-	toks, _ := ScanAll("alpha_1")
+	toks, _ := scanAll("alpha_1")
 	if toks[0].Text != "ALPHA_1" {
 		t.Errorf("ident text = %q, want ALPHA_1", toks[0].Text)
 	}
@@ -60,7 +74,7 @@ func TestRealLiterals(t *testing.T) {
 		"1.0E+6": "1.0e+6",
 	}
 	for src, wantText := range cases {
-		toks, errs := ScanAll(src)
+		toks, errs := scanAll(src)
 		if len(errs) > 0 {
 			t.Errorf("%q: errors %v", src, errs)
 			continue
@@ -75,7 +89,7 @@ func TestRealLiterals(t *testing.T) {
 }
 
 func TestIntegerNotReal(t *testing.T) {
-	toks, _ := ScanAll("42")
+	toks, _ := scanAll("42")
 	if toks[0].Kind != token.INTLIT || toks[0].Text != "42" {
 		t.Errorf("got %v %q, want INTLIT 42", toks[0].Kind, toks[0].Text)
 	}
@@ -88,7 +102,7 @@ func TestDotOperators(t *testing.T) {
 }
 
 func TestLogicalLiterals(t *testing.T) {
-	toks, _ := ScanAll(".TRUE. .false.")
+	toks, _ := scanAll(".TRUE. .false.")
 	if toks[0].Kind != token.LOGICALLIT || toks[0].Text != "TRUE" {
 		t.Errorf("got %v %q", toks[0].Kind, toks[0].Text)
 	}
@@ -164,7 +178,7 @@ func TestBlankLinesCollapsed(t *testing.T) {
 }
 
 func TestStringLiteral(t *testing.T) {
-	toks, errs := ScanAll("'it''s'")
+	toks, errs := scanAll("'it''s'")
 	if len(errs) > 0 {
 		t.Fatalf("errors: %v", errs)
 	}
@@ -182,7 +196,7 @@ func TestColonForms(t *testing.T) {
 }
 
 func TestPositions(t *testing.T) {
-	toks, _ := ScanAll("x = 1\n  y = 2")
+	toks, _ := scanAll("x = 1\n  y = 2")
 	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
 		t.Errorf("x pos = %v, want 1:1", toks[0].Pos)
 	}
@@ -193,14 +207,14 @@ func TestPositions(t *testing.T) {
 }
 
 func TestUnterminatedString(t *testing.T) {
-	_, errs := ScanAll("'oops")
+	_, errs := scanAll("'oops")
 	if len(errs) == 0 {
 		t.Error("want error for unterminated string")
 	}
 }
 
 func TestIllegalChar(t *testing.T) {
-	toks, errs := ScanAll("x = @")
+	toks, errs := scanAll("x = @")
 	if len(errs) == 0 {
 		t.Error("want error for illegal character")
 	}
@@ -227,7 +241,7 @@ func TestEOFIsSticky(t *testing.T) {
 }
 
 func TestMalformedDotOperator(t *testing.T) {
-	_, errs := ScanAll("a .BOGUS. b")
+	_, errs := scanAll("a .BOGUS. b")
 	if len(errs) == 0 {
 		t.Error("want error for unknown dot operator")
 	}
