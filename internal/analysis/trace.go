@@ -110,8 +110,6 @@ type cell struct {
 // means the scalar was never assigned on this path.
 type state []cell
 
-func (s state) clone() state { return append(state(nil), s...) }
-
 func valueEq(a, b sem.Value) bool {
 	return a.Type == b.Type && a.I == b.I && a.R == b.R && a.B == b.B
 }
@@ -146,11 +144,38 @@ const traceBudget = 1 << 18
 // names, into dense slots once per TraceProgram call, so a state is a
 // flat slice: cloning is a copy and meets and convergence checks are
 // one linear pass. A name outside the slots is never assigned.
+//
+// Every state of one call has the same length, so the tracer recycles
+// them: clone and meet take their slices from the free list, and each
+// transfer function releases to it every state it consumed and does not
+// return. States never leave the tracer (the Trace holds only the
+// per-construct records), so a recycled state cannot reach a caller.
 type tracer struct {
 	tr     *Trace
 	slot   map[string]int
 	pinned []bool // by slot
 	budget int
+	free   []state // released states, ready for reuse
+}
+
+// alloc returns a state of the program's length with stale contents;
+// the caller overwrites every cell.
+func (t *tracer) alloc() state {
+	if n := len(t.free); n > 0 {
+		s := t.free[n-1]
+		t.free = t.free[:n-1]
+		return s
+	}
+	return make(state, len(t.slot))
+}
+
+// release hands a state nothing reads any more back for reuse.
+func (t *tracer) release(s state) { t.free = append(t.free, s) }
+
+func (t *tracer) clone(s state) state {
+	c := t.alloc()
+	copy(c, s)
+	return c
 }
 
 // TraceProgram runs definition tracing over a compiled program. pinned
@@ -216,11 +241,12 @@ func (t *tracer) kill(name string, line int, reason string, s state) {
 	}
 }
 
-// meet joins two control-flow branches: values known and equal on both
-// sides survive; everything else becomes an explained unknown. Pinned
-// names always keep their pinned value.
+// meet joins two control-flow branches into a new state: values known
+// and equal on both sides survive; everything else becomes an explained
+// unknown. Pinned names always keep their pinned value. a and b are left
+// to the caller.
 func (t *tracer) meet(a, b state) state {
-	out := make(state, len(a))
+	out := t.alloc()
 	for i := range a {
 		ca, cb := a[i], b[i]
 		switch {
@@ -361,7 +387,10 @@ func assignedNames(ss []hir.Stmt) []string {
 // Transfer functions
 
 // stmts applies the transfer function of each statement in order. The
-// input state is consumed and the out state returned.
+// input state is consumed and the out state returned. Every transfer
+// function follows the same rule: it may update its input in place or
+// return another state, and it releases each state it consumed and does
+// not return.
 func (t *tracer) stmts(ss []hir.Stmt, s state) state {
 	for _, st := range ss {
 		s = t.stmt(st, s)
@@ -407,26 +436,32 @@ func (t *tracer) stmt(st hir.Stmt, s state) state {
 }
 
 // fixpointBody iterates a loop body to a fixpoint starting from entry
-// (with the loop index already invalidated). It returns the out state of
-// one body application from the stabilized head — i.e. the state after a
-// final iteration. On non-convergence (budget or round cap) it degrades
-// soundly by killing everything the body assigns.
+// (with the loop index already invalidated), which it consumes. It
+// returns the out state of one body application from the stabilized
+// head — i.e. the state after a final iteration. On non-convergence
+// (budget or round cap) it degrades soundly by killing everything the
+// body assigns.
 func (t *tracer) fixpointBody(body []hir.Stmt, entry state) state {
 	head := entry
-	out := t.stmts(body, head.clone())
+	out := t.stmts(body, t.clone(head))
 	for i := 0; ; i++ {
 		merged := t.meet(head, out)
-		if statesEqual(merged, head) {
+		converged := statesEqual(merged, head)
+		t.release(head)
+		head = merged
+		if converged {
+			t.release(head)
 			return out
 		}
-		head = merged
 		if i >= maxFixpointIters || t.budget <= 0 {
+			t.release(head)
 			for _, n := range assignedNames(body) {
 				t.kill(n, 0, "assigned in a loop whose analysis did not converge", out)
 			}
 			return out
 		}
-		out = t.stmts(body, head.clone())
+		t.release(out)
+		out = t.stmts(body, t.clone(head))
 	}
 }
 
@@ -461,16 +496,17 @@ func (t *tracer) loop(x *hir.Loop, s state) state {
 	if lt.Resolved && lt.Trips == 0 {
 		// The body never executes: walk it once for recording only
 		// (nested constructs still get traces) and discard its effects.
-		dead := s.clone()
+		dead := t.clone(s)
 		t.kill(x.Var, x.SrcLine, "index of a zero-trip loop", dead)
-		t.stmts(x.Body, dead)
+		t.release(t.stmts(x.Body, dead))
 		return s
 	}
 
-	entry := s.clone()
+	entry := t.clone(s)
 	t.kill(x.Var, x.SrcLine, "loop index", entry)
 	out := t.fixpointBody(x.Body, entry)
 	if lt.Resolved {
+		t.release(s)
 		// The loop ran at least once: the post-loop state is the final
 		// iteration's out state; the DO index lands one step past the
 		// last executed value.
@@ -483,6 +519,8 @@ func (t *tracer) loop(x *hir.Loop, s state) state {
 	// Unknown trip count: the loop may have run zero times, so join the
 	// entry state with the traced exit.
 	exit := t.meet(s, out)
+	t.release(s)
+	t.release(out)
 	t.kill(x.Var, x.SrcLine, "index of a loop with untraced bounds", exit)
 	return exit
 }
@@ -501,11 +539,14 @@ func (t *tracer) while(x *hir.While, s state) state {
 
 	if wt.CondResolved && !wt.CondValue {
 		// Never entered; walk for recording only.
-		t.stmts(x.Body, s.clone())
+		t.release(t.stmts(x.Body, t.clone(s)))
 		return s
 	}
-	out := t.fixpointBody(x.Body, s.clone())
-	return t.meet(s, out)
+	out := t.fixpointBody(x.Body, t.clone(s))
+	exit := t.meet(s, out)
+	t.release(s)
+	t.release(out)
+	return exit
 }
 
 func (t *tracer) cond(x *hir.If, s state) state {
@@ -524,13 +565,16 @@ func (t *tracer) cond(x *hir.If, s state) state {
 			if !ct.Value {
 				taken, dead = x.Else, x.Then
 			}
-			t.stmts(dead, s.clone()) // recording only
+			t.release(t.stmts(dead, t.clone(s))) // recording only
 			return t.stmts(taken, s)
 		}
 	}
-	outThen := t.stmts(x.Then, s.clone())
+	outThen := t.stmts(x.Then, t.clone(s))
 	outElse := t.stmts(x.Else, s)
-	return t.meet(outThen, outElse)
+	exit := t.meet(outThen, outElse)
+	t.release(outThen)
+	t.release(outElse)
+	return exit
 }
 
 // pinnedDerived reports whether any scalar the expression references

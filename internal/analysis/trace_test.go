@@ -238,3 +238,21 @@ func TestTraceBudgetDegradesSoundly(t *testing.T) {
 		t.Fatalf("loop I = %+v, want unresolved (M varies)", lt)
 	}
 }
+
+// TestTraceAllocsPerLoop holds the tracer to a constant number of
+// allocations per traced loop: the fixpoint's states come from the
+// per-call free list, so only the loop's own record is new. Going from
+// 4 to 32 sequential loops may cost at most 3 objects per added loop.
+func TestTraceAllocsPerLoop(t *testing.T) {
+	allocs := func(loops int) float64 {
+		src := preamble + "INTEGER J, K\n" +
+			strings.Repeat("DO I = 1, N\n  J = K\n  K = 5\nEND DO\n", loops) + "END"
+		prog := mustCompile(t, src)
+		return testing.AllocsPerRun(20, func() { TraceProgram(prog, nil) })
+	}
+	few, many := allocs(4), allocs(32)
+	if perLoop := (many - few) / 28; perLoop > 3 {
+		t.Errorf("TraceProgram allocates %.0f objects over 4 loops and %.0f over 32: %.2f per added loop, want at most 3",
+			few, many, perLoop)
+	}
+}
