@@ -71,7 +71,7 @@ func TestIndependentLowersPrediction(t *testing.T) {
 	}
 }
 
-// TestIndependentDiagnostics pins the three HPF05xx verdict codes.
+// TestIndependentDiagnostics pins the four HPF05xx verdict codes.
 func TestIndependentDiagnostics(t *testing.T) {
 	cases := []struct {
 		name string
@@ -106,8 +106,14 @@ func TestIndependentDiagnostics(t *testing.T) {
 		{
 			name: "proven forall",
 			body: "!HPF$ INDEPENDENT\nFORALL (K=1:N) A(K) = B(K) + 1.0\n",
+			want: "HPF0504",
+			not:  []string{"HPF0501", "HPF0502", "HPF0503"},
+		},
+		{
+			name: "proven forall skipping a copy",
+			body: "!HPF$ INDEPENDENT\nFORALL (K=1:128) A(K) = A(K+128) + 1.0\n",
 			want: "HPF0503",
-			not:  []string{"HPF0501", "HPF0502"},
+			not:  []string{"HPF0501", "HPF0502", "HPF0504"},
 		},
 	}
 	for _, c := range cases {
@@ -174,17 +180,21 @@ END PROGRAM LOOP
 }
 
 // TestIndependentVerdictMatchesPrediction holds the INDEPENDENT
-// diagnostics to what the compiler did: a proven annotation on a DO draws
+// diagnostics to what the compiler did: a proven annotation draws
 // HPF0503 exactly when the annotated program predicts strictly less
 // than the same program without the directive, and HPF0504 exactly when
-// the two predict the same (the DO stayed sequential). The programs are
-// the seed-42 corpus's annotated ones plus proven DOs whose bodies the
-// FORALL lowering cannot take: a nested DO and an IF.
+// the two predict the same (the DO stayed sequential, or the FORALL
+// needed no copy). The programs are the seed-42 corpus's annotated ones,
+// proven DOs whose bodies the FORALL lowering cannot take (a nested DO
+// and an IF), and proven FORALLs with and without a read that forces
+// the evaluate-then-assign copy.
 func TestIndependentVerdictMatchesPrediction(t *testing.T) {
 	const dir = "!HPF$ INDEPENDENT\n"
 	cases := map[string]string{
-		"nested DO": loopSrc(dir + "DO I = 1, N\n  DO J = 1, 8\n    A(I) = B(I) * REAL(J)\n  END DO\nEND DO\n"),
-		"IF body":   loopSrc(dir + "DO I = 1, N\n  IF (B(I) > 2.0) THEN\n    A(I) = B(I)\n  END IF\nEND DO\n"),
+		"nested DO":      loopSrc(dir + "DO I = 1, N\n  DO J = 1, 8\n    A(I) = B(I) * REAL(J)\n  END DO\nEND DO\n"),
+		"IF body":        loopSrc(dir + "DO I = 1, N\n  IF (B(I) > 2.0) THEN\n    A(I) = B(I)\n  END IF\nEND DO\n"),
+		"FORALL no copy": loopSrc(dir + "FORALL (K=1:N) A(K) = B(K) + 1.0\n"),
+		"FORALL copy":    loopSrc(dir + "FORALL (K=1:512) A(K) = A(K+512) + 1.0\n"),
 	}
 	for _, p := range corpus.Generate(42, 200) {
 		if p.Indep != 0 {

@@ -15,13 +15,15 @@ import (
 // program (hir.Program.Independent); this pass renders that record. A
 // proven annotation on a DO is honored when the DO becomes a partitioned
 // FORALL nest (the serialization penalty disappears from predictions),
-// on a FORALL when its assignments skip the evaluate-then-assign copy; a
-// refuted one is a correctness error.
+// on a FORALL when an assignment skips an evaluate-then-assign copy its
+// reads would otherwise force; a refuted one is a correctness error.
 //
 // Codes: HPF0501 annotation refuted (error), HPF0502 annotation
 // unprovable and therefore not honored (warning), HPF0503 annotation
 // proven and honored (info), HPF0504 annotation proven but not honored
-// because the lowering cannot convert the loop (warning).
+// (warning): on a DO because the lowering cannot convert the loop, on a
+// FORALL because no assignment needed the copy, so the directive has no
+// effect.
 type independentPass struct{}
 
 func (independentPass) Name() string { return "independent" }
@@ -43,6 +45,10 @@ func (independentPass) Run(u *Unit) []Diagnostic {
 			d.Code, d.Severity = "HPF0502", SevWarning
 			d.Message = fmt.Sprintf("INDEPENDENT annotation on this %s cannot be proven and is not honored: %s", label, evidenceString(rec.Evidence))
 			d.Hint = "keep subscripts affine in the loop indices with constant bounds so the dependence tests apply"
+		case !rec.Honored && rec.Forall:
+			d.Code, d.Severity = "HPF0504", SevWarning
+			d.Message = "INDEPENDENT annotation on this FORALL is proven but has no effect: no assignment needs the evaluate-then-assign copy"
+			d.Hint = "the directive changes a FORALL only when an assignment reads elements of its target that other iterations write"
 		case !rec.Honored:
 			d.Code, d.Severity = "HPF0504", SevWarning
 			d.Message = "INDEPENDENT annotation on this DO loop is proven but not honored: the loop stays sequential"

@@ -18,11 +18,14 @@ import (
 // noBuffer drops the write buffering, which is sound only when no
 // iteration reads an element another iteration writes; an INDEPENDENT
 // annotation on x sets it from the verifier's verdict.
+//
+// A proven annotation on x is honored only when some assignment needed
+// the copy it drops; otherwise it has no effect on the lowered program.
 func (lw *lowerer) lowerForall(x *ast.ForallStmt, env *idxEnv, noBuffer bool) ([]hir.Stmt, error) {
+	rec := -1
 	if x.Independent {
-		i := lw.decideIndependent(x.ForPos.Line, true, x.Indices, x.Body)
-		noBuffer = lw.out.Independent[i].Verdict == dep.Proven
-		lw.out.Independent[i].Honored = noBuffer
+		rec = lw.decideIndependent(x.ForPos.Line, true, x.Indices, x.Body)
+		noBuffer = lw.out.Independent[rec].Verdict == dep.Proven
 	}
 	var out []hir.Stmt
 	type trip struct{ lo, hi, step hir.Expr }
@@ -71,6 +74,9 @@ func (lw *lowerer) lowerForall(x *ast.ForallStmt, env *idxEnv, noBuffer bool) ([
 			return nil, err
 		}
 		out = append(out, stmts...)
+		if rec >= 0 && ctx.skippedCopy {
+			lw.out.Independent[rec].Honored = true
+		}
 	}
 	return out, nil
 }
@@ -311,7 +317,9 @@ func (lw *lowerer) finishNestAssign(ctx *nestCtx, lhsName string, lhsDescs []acc
 		return nil, err
 	}
 
-	needBuffer := !ctx.noBuffer && overlaps(ctx.reads, lhsName, lhsDescs)
+	overlap := overlaps(ctx.reads, lhsName, lhsDescs)
+	needBuffer := overlap && !ctx.noBuffer
+	ctx.skippedCopy = overlap && ctx.noBuffer
 	target := lhsName
 	if needBuffer {
 		target = lw.newTempArray(lhsName)

@@ -69,6 +69,9 @@ type nestCtx struct {
 	// a proven INDEPENDENT annotation guarantees no iteration reads an
 	// element another iteration writes.
 	noBuffer bool
+	// skippedCopy records that noBuffer dropped a copy the assignment's
+	// reads would otherwise have forced.
+	skippedCopy bool
 }
 
 func newNestCtx(lw *lowerer, env *idxEnv, line int) *nestCtx {

@@ -476,7 +476,8 @@ type TempArray struct {
 // Independent is the compiler's decision on one !HPF$ INDEPENDENT
 // annotation: the dependence verifier's verdict and evidence, and
 // whether the lowering used a proven verdict (a DO became a partitioned
-// FORALL nest, or a FORALL skipped its evaluate-then-assign copy).
+// FORALL nest, or a FORALL assignment skipped an evaluate-then-assign
+// copy its reads would otherwise have forced).
 type Independent struct {
 	Line     int
 	Forall   bool // the annotated loop is a FORALL, not a DO
