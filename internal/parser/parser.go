@@ -1,10 +1,10 @@
 // Package parser implements a recursive-descent parser for the HPF/Fortran
 // 90D subset, producing the AST of package ast. This is the first step of
 // compilation phase 1 in the paper (§4.1 step 1). The parser streams its
-// tokens: it pulls each one from the scanner when it advances, keeping
-// only the current token and the next, so parsing allocates nothing per
-// token. Lexical errors still come first in the error list, as if the
-// whole source had been scanned before parsing began.
+// tokens: it pulls each one from the scanner when it advances and keeps
+// only the current token and the next, so no token slice is built.
+// Lexical errors still come first in the error list, as if the whole
+// source had been scanned before parsing began.
 package parser
 
 import (
@@ -70,9 +70,7 @@ func Parse(src string) (*ast.Program, error) {
 	return prog, append(errs, p.errs...)
 }
 
-// parser pulls its tokens from the scanner as it goes: it only ever
-// looks at the current token and the one after it, so it keeps just
-// that two-token window and never builds a token slice.
+// parser reads the scanner's stream through a two-token window.
 type parser struct {
 	src   string
 	sc    *scanner.Scanner
