@@ -63,10 +63,8 @@ func parseCases(t *testing.T) []parseCase {
 		out = append(out, fileCases(t, filepath.Join("..", ".."), pat, false)...)
 	}
 	for _, prog := range suite.All() {
-		for _, n := range prog.Sizes[:1] {
-			out = append(out, parseCase{name: fmt.Sprintf("suite/%s n=%d p=%d", prog.Name, n, prog.Procs[0]),
-				src: prog.Source(n, prog.Procs[0])})
-		}
+		n, p := prog.Sizes[0], prog.Procs[0]
+		out = append(out, parseCase{name: fmt.Sprintf("suite/%s n=%d p=%d", prog.Name, n, p), src: prog.Source(n, p)})
 	}
 	out = append(out, fileCases(t, "..", "scanner/testdata/fuzz/FuzzScanner/*", true)...)
 	out = append(out, fileCases(t, ".", "testdata/fuzz/FuzzParser/*", true)...)

@@ -354,7 +354,7 @@ func (s *Scanner) scanNumber(pos token.Pos, leadingDot bool) token.Token {
 			s.next()
 		}
 	}
-	exp := -1 // offset of a exponent letter other than 'e'
+	exp := -1 // offset of an exponent letter other than 'e'
 	// Exponent: e, E, d, D. A bare letter after a number is left for the
 	// next token (e.g. a 2D array typo).
 	if s.ch == 'e' || s.ch == 'E' || s.ch == 'd' || s.ch == 'D' {
