@@ -149,9 +149,13 @@ func (s *Server) admitCost(what string, refuse func(i int, aerr *apiError), prog
 		refuse(i, aerr)
 	}
 
+	// The cumulative counter takes the unsaturated milli-units: a
+	// saturated price would count every huge request alike, and three
+	// of them would wrap an int64.
+	admitted := math.Trunc(max(units, 0) * 1000)
 	milli := costMilli(units)
 	if s.cfg.MaxInflightCostUnits <= 0 {
-		s.met.costAdmittedMilli.Add(milli)
+		s.met.costAdmittedMilli.Add(admitted)
 		return func() {}, nil
 	}
 	maxMilli := costMilli(s.cfg.MaxInflightCostUnits)
@@ -173,6 +177,6 @@ func (s *Server) admitCost(what string, refuse func(i int, aerr *apiError), prog
 			break
 		}
 	}
-	s.met.costAdmittedMilli.Add(milli)
+	s.met.costAdmittedMilli.Add(admitted)
 	return func() { s.met.costInflightMilli.Add(-milli) }, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -287,4 +288,64 @@ func compactJSON(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// hugeSource nests two loops of 2e9 trips each, so its static price
+// lies far past costMilli's saturation point.
+const hugeSource = `      PROGRAM HUGE
+!HPF$ PROCESSORS P(4)
+      REAL A(64)
+!HPF$ TEMPLATE T(64)
+!HPF$ ALIGN A WITH T
+!HPF$ DISTRIBUTE T(BLOCK) ONTO P
+      INTEGER I, J
+      DO I = 1, 2000000000
+        DO J = 1, 2000000000
+          A = A + 1.0
+        END DO
+      END DO
+      PRINT *, A(1)
+      END PROGRAM HUGE
+`
+
+// TestAdmittedCostNeverWraps pins hpfserve_cost_admitted_units_total
+// as a counter of prices, not of saturated milli-units: three admitted
+// requests priced past the saturation point read the running sum of
+// their prices, and no scrape is lower than the one before.
+func TestAdmittedCostNeverWraps(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxInflightCostUnits: 1e6})
+	resp, body := post(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: hugeSource})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze: status %d: %s", resp.StatusCode, body)
+	}
+	var ar AnalyzeResponse
+	if err := json.Unmarshal(body, &ar); err != nil {
+		t.Fatal(err)
+	}
+	price := ar.Price.CostUnits
+	if price < 1e19 {
+		t.Fatalf("test premise broken: program prices at %g, want past the saturation point", price)
+	}
+	prev := 0.0
+	for n := 1; n <= 3; n++ {
+		if resp, body := post(t, ts.URL+"/v1/predict", PredictRequest{Source: hugeSource}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("predict %d: status %d: %s", n, resp.StatusCode, body)
+		}
+		_, text := scrape(t, ts.URL, "")
+		var got float64
+		for _, line := range strings.Split(text, "\n") {
+			if v, ok := strings.CutPrefix(line, "hpfserve_cost_admitted_units_total "); ok {
+				if _, err := fmt.Sscan(v, &got); err != nil {
+					t.Fatalf("parse %q: %v", line, err)
+				}
+			}
+		}
+		if want := float64(n) * price; math.Abs(got-want) > 1e-9*want {
+			t.Errorf("after %d predicts: admitted units = %g, want %g", n, got, want)
+		}
+		if got < prev {
+			t.Errorf("after %d predicts: admitted units fell from %g to %g", n, prev, got)
+		}
+		prev = got
+	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -53,6 +54,21 @@ func (h *histogram) observe(seconds float64, traceID string) {
 	h.total.Add(1)
 }
 
+// floatCounter is a float64 counter for cumulative quantities an int64
+// would wrap; Add is a CAS on the value's bits.
+type floatCounter struct{ bits atomic.Uint64 }
+
+func (c *floatCounter) Add(v float64) {
+	for {
+		old := c.bits.Load()
+		if c.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
+}
+
+func (c *floatCounter) Load() float64 { return math.Float64frombits(c.bits.Load()) }
+
 // metrics aggregates the server's own counters. Sweep-engine counters
 // (compiles, cache hits, evictions) are read live from the engine at
 // render time rather than duplicated here.
@@ -66,10 +82,11 @@ type metrics struct {
 	panics   atomic.Int64 // handler panics recovered
 
 	// Cost-admission gate counters (see admission.go). The in-flight
-	// accumulator is in milli-units so reservation stays one CAS.
+	// accumulator is in milli-units so reservation stays one CAS; the
+	// cumulative count is a float, so no run of prices can wrap it.
 	costRejected      atomic.Int64 // requests refused over a cost budget (429)
 	costInflightMilli atomic.Int64 // reserved static cost of admitted requests
-	costAdmittedMilli atomic.Int64 // cumulative admitted static cost
+	costAdmittedMilli floatCounter // cumulative admitted static cost
 
 	// Batch data plane and SSE streaming counters (batch.go, events.go).
 	batchPointsOK     atomic.Int64 // batch points answered with a result
@@ -174,7 +191,7 @@ func (m *metrics) render(b *strings.Builder, snap sweep.Snapshot, cs sweep.Cache
 	fmt.Fprintf(b, "hpfserve_cost_inflight_units %g\n", float64(m.costInflightMilli.Load())/1000)
 	fmt.Fprintf(b, "# HELP hpfserve_cost_admitted_units_total Cumulative static cost admitted through the gate.\n")
 	fmt.Fprintf(b, "# TYPE hpfserve_cost_admitted_units_total counter\n")
-	fmt.Fprintf(b, "hpfserve_cost_admitted_units_total %g\n", float64(m.costAdmittedMilli.Load())/1000)
+	fmt.Fprintf(b, "hpfserve_cost_admitted_units_total %g\n", m.costAdmittedMilli.Load()/1000)
 	fmt.Fprintf(b, "# HELP hpfserve_batch_points_total Batch points by per-point outcome.\n")
 	fmt.Fprintf(b, "# TYPE hpfserve_batch_points_total counter\n")
 	fmt.Fprintf(b, "hpfserve_batch_points_total{outcome=\"ok\"} %d\n", m.batchPointsOK.Load())
