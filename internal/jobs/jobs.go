@@ -162,7 +162,7 @@ type Config struct {
 // Metrics is a consistent snapshot of the manager's counters.
 type Metrics struct {
 	ByState           map[State]int // live jobs by effective state
-	SubmittedTotal    int64
+	SubmittedTotal    int64         // accepted by this process's Submit; replay adds none
 	DoneTotal         int64
 	FailedTotal       int64
 	CancelledTotal    int64
@@ -325,7 +325,6 @@ func (m *Manager) apply(rec record) {
 			j.runs = rec.Runs
 		}
 		j.submittedAt = rec.Time
-		m.submitted++
 	case StateRunning:
 		j.state = StateRunning
 		j.runs = rec.Runs
@@ -705,7 +704,6 @@ func (m *Manager) finish(j *job, next State, result json.RawMessage, err error) 
 		}
 		m.appendEventLocked(j, StateSubmitted, j.done, "", now)
 		m.handoffs++
-		m.submitted-- // not a new submission; keep the counter meaningful
 	default:
 		j.state = StateFailed
 		j.errMsg = err.Error()

@@ -213,14 +213,25 @@ func TestDrainHandoff(t *testing.T) {
 	})
 	v, _ := m1.Submit("autotune", json.RawMessage(`{"q":1}`), Options{})
 	<-started
+	if got := m1.Metrics().SubmittedTotal; got != 1 {
+		t.Fatalf("SubmittedTotal before drain = %d, want 1", got)
+	}
 	drain(t, m1)
 	if m1.Metrics().HandoffTotal != 1 {
 		t.Fatalf("HandoffTotal = %d", m1.Metrics().HandoffTotal)
 	}
+	// The handoff is not a submission, and a counter never goes down.
+	if got := m1.Metrics().SubmittedTotal; got != 1 {
+		t.Fatalf("SubmittedTotal after drain = %d, want 1", got)
+	}
 
 	// Next process picks the job up and finishes it; progress made
-	// before the handoff is visible after replay.
+	// before the handoff is visible after replay. Replayed submissions
+	// are not this process's: its count starts at 0.
 	m2 := openTest(t, dir, echoExec)
+	if got := m2.Metrics().SubmittedTotal; got != 0 {
+		t.Fatalf("SubmittedTotal after reopen = %d, want 0", got)
+	}
 	got := waitState(t, m2, v.ID, StateDone)
 	if string(got.Result) != `{"q":1}` {
 		t.Fatalf("handoff result = %s", got.Result)
