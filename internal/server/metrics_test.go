@@ -12,19 +12,26 @@ package server
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hpfperf/internal/jobs"
+	"hpfperf/internal/sweep"
 )
 
-var update = flag.Bool("update", false, "rewrite the /metrics exposition golden with current output")
+var update = flag.Bool("update", false, "rewrite the /metrics goldens with current output")
 
-const metricsGoldenPath = "testdata/metrics_exposition.golden"
+const (
+	metricsGoldenPath = "testdata/metrics_exposition.golden"
+	valuesGoldenPath  = "testdata/metrics_values.golden"
+)
 
 // seriesShape reduces one exposition line to what the golden pins:
 // comment lines verbatim, sample lines to name and label set.
@@ -139,5 +146,102 @@ func TestMetricsExpositionGolden(t *testing.T) {
 				t.Fatalf("/metrics shape differs from %s at line %d:\n got %q\nwant %q", metricsGoldenPath, i+1, g, w)
 			}
 		}
+	}
+}
+
+// TestMetricsExpositionValues pins what the shape golden masks: every
+// value and exemplar, in both formats, for fixed counters. Each counter
+// is distinct and non-zero, so two swapped samples show; one count is
+// past 1e7, so printing an integer with %g (1.2e+07) shows; the
+// admitted cost is fractional, so printing a float with %d shows.
+// Regenerate only when the change is meant:
+//
+//	go test ./internal/server -run TestMetricsExpositionValues -update
+func TestMetricsExpositionValues(t *testing.T) {
+	m := newMetrics([]string{routePredict, routeMeasure, routeAutotune, routeAnalyze, routeBatch, routeJobs})
+	for _, r := range []struct {
+		route string
+		code  int
+		n     int64
+	}{
+		{routeJobs, 200, 12_000_000},
+		{routeJobs, 429, 17},
+		{routeEvents, 200, 19},
+	} {
+		c := &atomic.Int64{}
+		c.Store(r.n)
+		m.requests[m.key(r.route, r.code)] = c
+	}
+	m.latency[routeJobs].observe(0.0004, "")
+	m.latency[routeJobs].observe(0.0007, "")
+	m.latency[routeJobs].observe(0.03, "0af7651916cd43dd8448eb211c80319c")
+	m.latency[routeJobs].observe(12.5, "4bf92f3577b34da6a3ce929d0e0e4736")
+	m.latency[routePredict].observe(0.002, "")
+	m.inflight.Store(2)
+	m.queued.Store(3)
+	m.rejected.Store(4)
+	m.shed.Store(5)
+	m.panics.Store(6)
+	m.costRejected.Store(7)
+	m.costInflightMilli.Store(1500)
+	m.costAdmittedMilli.Add(2500750)
+	m.batchPointsOK.Store(8)
+	m.batchPointsFailed.Store(9)
+	m.sseStreams.Store(10)
+	m.sseEvents.Store(11)
+	m.sseHeartbeats.Store(12)
+
+	snap := sweep.Snapshot{
+		Compiles: 21, CompileHits: 22, CompileMisses: 23,
+		Interps: 24, PredictHits: 25, PredictMisses: 26,
+		ReportHits: 27, ReportMisses: 28,
+		Execs: 29, ExecHits: 30, ExecMisses: 31,
+		Retries: 32, PointPanics: 33, CheckpointSkips: 34,
+		CompileTime: 1250 * time.Millisecond,
+		InterpTime:  2 * time.Second,
+		ExecTime:    3750 * time.Microsecond,
+	}
+	cs := sweep.CacheStats{
+		Cap:            256,
+		CompileEntries: 41, PredictEntries: 42, ReportEntries: 43, MeasureEntries: 44,
+		CompileEvictions: 45, PredictEvictions: 46, ReportEvictions: 47, MeasureEvictions: 48,
+	}
+	jm := jobs.Metrics{
+		ByState: map[jobs.State]int{
+			jobs.StateSubmitted: 51, jobs.StateRunning: 52, jobs.StateDone: 53,
+			jobs.StateFailed: 54, jobs.StateCancelled: 55,
+		},
+		SubmittedTotal: 56, DoneTotal: 57, FailedTotal: 58, CancelledTotal: 59,
+		ResumedTotal: 60, HandoffTotal: 61, ReplayRecords: 62, ReplayTruncations: 63,
+		Compactions: 64, RetentionDropped: 65, JournalBytes: 66,
+		RecoverySeconds: 0.125, Subscribers: 67, EventsTotal: 68, SubscriberDrops: 69,
+	}
+
+	var got strings.Builder
+	for _, om := range []bool{false, true} {
+		fmt.Fprintf(&got, "=== openmetrics=%v\n", om)
+		var b strings.Builder
+		m.render(&b, snap, cs, om)
+		renderJobsMetrics(&b, jm)
+		got.WriteString(b.String())
+	}
+	if *update {
+		if err := os.WriteFile(valuesGoldenPath, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(valuesGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gl), len(wl)) {
+		if gl[i] != wl[i] {
+			t.Fatalf("/metrics differs from %s at line %d:\n got %q\nwant %q", valuesGoldenPath, i+1, gl[i], wl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Fatalf("/metrics has %d lines, %s has %d", len(gl), valuesGoldenPath, len(wl))
 	}
 }
