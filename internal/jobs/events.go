@@ -66,7 +66,7 @@ func (s *Subscription) Cancel() {
 	}
 	s.sub.done = true
 	close(s.sub.ch)
-	s.m.nsubs--
+	s.m.met.Subscribers--
 	s.j.compactSubs()
 }
 
@@ -86,7 +86,7 @@ func (m *Manager) Subscribe(id string, afterSeq int) (*Subscription, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	if m.nsubs >= m.cfg.MaxSubscribers {
+	if m.met.Subscribers >= m.cfg.MaxSubscribers {
 		return nil, ErrSubscriberLimit
 	}
 	if afterSeq > j.eventSeq {
@@ -110,7 +110,7 @@ func (m *Manager) Subscribe(id string, afterSeq int) (*Subscription, error) {
 	}
 	j.compactSubs()
 	j.subs = append(j.subs, sub)
-	m.nsubs++
+	m.met.Subscribers++
 	return s, nil
 }
 
@@ -142,7 +142,7 @@ func (m *Manager) appendEventLocked(j *job, state State, done int, errMsg string
 	if max := m.cfg.MaxEventsPerJob; len(j.events) > max {
 		j.events = append(j.events[:0:0], j.events[len(j.events)-max:]...)
 	}
-	m.eventsTotal++
+	m.met.EventsTotal++
 	for _, sub := range j.subs {
 		if sub.done {
 			continue
@@ -152,8 +152,8 @@ func (m *Manager) appendEventLocked(j *job, state State, done int, errMsg string
 		default:
 			sub.done = true
 			close(sub.ch)
-			m.nsubs--
-			m.subDrops++
+			m.met.Subscribers--
+			m.met.SubscriberDrops++
 		}
 	}
 	if ev.Terminal {
@@ -169,7 +169,7 @@ func (m *Manager) closeSubsLocked(j *job) {
 		if !sub.done {
 			sub.done = true
 			close(sub.ch)
-			m.nsubs--
+			m.met.Subscribers--
 		}
 	}
 	j.subs = nil

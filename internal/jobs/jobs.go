@@ -193,16 +193,9 @@ type Manager struct {
 
 	workers sync.WaitGroup
 
-	// counters (under mu)
-	submitted, finishedDone, finishedFailed, finishedCancelled int64
-	resumed, handoffs, retentionDropped                        int64
-	replayRecords                                              int64
-	recovery                                                   time.Duration
-
-	// event fan-out state (under mu; see events.go)
-	nsubs       int
-	eventsTotal int64
-	subDrops    int64
+	// met holds the counters Metrics reports (under mu). Metrics fills
+	// in ByState and the journal's figures when it copies it.
+	met Metrics
 }
 
 // Open replays the journal in cfg.Dir, reconciles torn records,
@@ -250,7 +243,7 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{cfg: cfg, jn: jn, jobs: make(map[string]*job)}
 	m.cond = sync.NewCond(&m.mu)
-	m.replayRecords = int64(len(recs))
+	m.met.ReplayRecords = int64(len(recs))
 	for _, rec := range recs {
 		m.apply(rec)
 	}
@@ -272,7 +265,7 @@ func Open(cfg Config) (*Manager, error) {
 			m.queue = append(m.queue, j.id)
 		}
 	}
-	m.resumed = int64(resumed)
+	m.met.ResumedTotal = int64(resumed)
 	// Deterministic pickup order after replay: oldest submission first.
 	sort.Slice(m.queue, func(a, b int) bool {
 		ja, jb := m.jobs[m.queue[a]], m.jobs[m.queue[b]]
@@ -286,10 +279,11 @@ func Open(cfg Config) (*Manager, error) {
 			cfg.Log.Warn("jobs: startup compaction failed", "err", err.Error())
 		}
 	}
-	m.recovery = time.Since(start)
+	recovery := time.Since(start)
+	m.met.RecoverySeconds = recovery.Seconds()
 	if resumed > 0 {
 		cfg.Log.Info("jobs: recovered in-flight jobs from journal",
-			"dir", cfg.Dir, "resumed", resumed, "recovery", m.recovery.String())
+			"dir", cfg.Dir, "resumed", resumed, "recovery", recovery.String())
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		m.workers.Add(1)
@@ -414,7 +408,7 @@ func (m *Manager) Submit(kind string, payload json.RawMessage, opts Options) (Jo
 	m.jobs[j.id] = j
 	m.appendEventLocked(j, StateSubmitted, 0, "", j.submittedAt)
 	m.queue = append(m.queue, j.id)
-	m.submitted++
+	m.met.SubmittedTotal++
 	m.cond.Signal()
 	return j.view(), nil
 }
@@ -473,7 +467,7 @@ func (m *Manager) Cancel(id string) (JobView, error) {
 			m.cfg.Log.Warn("jobs: journaling cancellation", "job", j.id, "err", err.Error())
 		}
 		m.appendEventLocked(j, StateCancelled, j.done, "", j.finishedAt)
-		m.finishedCancelled++
+		m.met.CancelledTotal++
 		m.removeCheckpoints(j.id)
 	case StateRunning:
 		j.cancelReq = true
@@ -488,28 +482,13 @@ func (m *Manager) Cancel(id string) (JobView, error) {
 func (m *Manager) Metrics() Metrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	by := make(map[State]int, 5)
+	out := m.met
+	out.ByState = make(map[State]int, 5)
 	for _, j := range m.jobs {
-		by[j.state]++
+		out.ByState[j.state]++
 	}
-	return Metrics{
-		ByState:           by,
-		SubmittedTotal:    m.submitted,
-		DoneTotal:         m.finishedDone,
-		FailedTotal:       m.finishedFailed,
-		CancelledTotal:    m.finishedCancelled,
-		ResumedTotal:      m.resumed,
-		HandoffTotal:      m.handoffs,
-		ReplayRecords:     m.replayRecords,
-		ReplayTruncations: m.jn.ntrunc,
-		Compactions:       m.jn.ncomp,
-		RetentionDropped:  m.retentionDropped,
-		JournalBytes:      m.jn.bytes,
-		RecoverySeconds:   m.recovery.Seconds(),
-		Subscribers:       m.nsubs,
-		EventsTotal:       m.eventsTotal,
-		SubscriberDrops:   m.subDrops,
-	}
+	out.ReplayTruncations, out.Compactions, out.JournalBytes = m.jn.ntrunc, m.jn.ncomp, m.jn.bytes
+	return out
 }
 
 // Drain stops intake, cancels running jobs and waits for the workers to
@@ -679,7 +658,7 @@ func (m *Manager) finish(j *job, next State, result json.RawMessage, err error) 
 			m.cfg.Log.Warn("jobs: journaling done transition", "job", j.id, "err", aerr.Error())
 		}
 		m.appendEventLocked(j, StateDone, j.done, "", now)
-		m.finishedDone++
+		m.met.DoneTotal++
 		m.removeCheckpoints(j.id)
 	case StateCancelled:
 		j.state = StateCancelled
@@ -689,7 +668,7 @@ func (m *Manager) finish(j *job, next State, result json.RawMessage, err error) 
 			m.cfg.Log.Warn("jobs: journaling cancelled transition", "job", j.id, "err", aerr.Error())
 		}
 		m.appendEventLocked(j, StateCancelled, j.done, j.errMsg, now)
-		m.finishedCancelled++
+		m.met.CancelledTotal++
 		m.removeCheckpoints(j.id)
 	case StateSubmitted:
 		// Drain handoff: the final checkpoint is on disk (the sweep
@@ -703,7 +682,7 @@ func (m *Manager) finish(j *job, next State, result json.RawMessage, err error) 
 			m.cfg.Log.Warn("jobs: journaling drain handoff", "job", j.id, "err", aerr.Error())
 		}
 		m.appendEventLocked(j, StateSubmitted, j.done, "", now)
-		m.handoffs++
+		m.met.HandoffTotal++
 	default:
 		j.state = StateFailed
 		j.errMsg = err.Error()
@@ -712,7 +691,7 @@ func (m *Manager) finish(j *job, next State, result json.RawMessage, err error) 
 			m.cfg.Log.Warn("jobs: journaling failed transition", "job", j.id, "err", aerr.Error())
 		}
 		m.appendEventLocked(j, StateFailed, j.done, j.errMsg, now)
-		m.finishedFailed++
+		m.met.FailedTotal++
 		m.removeCheckpoints(j.id)
 	}
 	if j.state.Terminal() && (m.jn.bytes > m.cfg.MaxJournalBytes || m.terminalCountLocked() > m.cfg.RetainTerminal) {
@@ -746,7 +725,7 @@ func (m *Manager) compactLocked() error {
 	for i, j := range terminal {
 		if i >= m.cfg.RetainTerminal || j.finishedAt.Before(cutoff) {
 			delete(m.jobs, j.id)
-			m.retentionDropped++
+			m.met.RetentionDropped++
 			m.removeCheckpoints(j.id)
 		}
 	}

@@ -45,7 +45,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if cursor != "" {
 		n, err := strconv.Atoi(cursor)
 		if err != nil || n < 0 {
-			s.recordRequest(routeEvents, s.fail(w, routeEvents, meta, errf(http.StatusBadRequest, "decode",
+			s.met.recordRequest(routeEvents, s.fail(w, routeEvents, meta, errf(http.StatusBadRequest, "decode",
 				"Last-Event-ID must be a non-negative event sequence number, got %q", cursor)))
 			return
 		}
@@ -62,7 +62,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		case jobs.ErrSubscriberLimit:
 			aerr.status, aerr.stage = http.StatusTooManyRequests, "overload"
 		}
-		s.recordRequest(routeEvents, s.fail(w, routeEvents, meta, aerr))
+		s.met.recordRequest(routeEvents, s.fail(w, routeEvents, meta, aerr))
 		return
 	}
 	defer sub.Cancel()
@@ -70,13 +70,13 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	// The drain check follows Subscribe, so once jobs.Drain has run the
 	// refusal is still the ErrDraining one above.
 	if aerr := s.enter(); aerr != nil {
-		s.recordRequest(routeEvents, s.fail(w, routeEvents, meta, aerr))
+		s.met.recordRequest(routeEvents, s.fail(w, routeEvents, meta, aerr))
 		return
 	}
 	defer s.inflight.Done()
 	s.met.sseStreams.Add(1)
 	defer s.met.sseStreams.Add(-1)
-	s.recordRequest(routeEvents, http.StatusOK)
+	s.met.recordRequest(routeEvents, http.StatusOK)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")

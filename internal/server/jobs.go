@@ -260,7 +260,7 @@ func (s *Server) jobsDisabled(w http.ResponseWriter, meta reqMeta) bool {
 	if s.jobs != nil {
 		return false
 	}
-	s.recordRequest(routeJobs, s.fail(w, routeJobs, meta, errf(http.StatusNotImplemented, "jobs",
+	s.met.recordRequest(routeJobs, s.fail(w, routeJobs, meta, errf(http.StatusNotImplemented, "jobs",
 		"async jobs are disabled (start hpfserve with -jobs-dir)")))
 	return true
 }
@@ -271,7 +271,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	if s.jobsDisabled(w, meta) {
 		return
 	}
-	s.recordRequest(routeJobs, http.StatusOK)
+	s.met.recordRequest(routeJobs, http.StatusOK)
 	writeJSON(w, http.StatusOK, JobListResponse{Jobs: s.jobs.List()})
 }
 
@@ -284,13 +284,13 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	}
 	view, err := s.jobs.Get(r.PathValue("id"))
 	if err != nil {
-		s.recordRequest(routeJobs, s.fail(w, routeJobs, meta, &apiError{status: http.StatusNotFound, stage: "jobs", err: err}))
+		s.met.recordRequest(routeJobs, s.fail(w, routeJobs, meta, &apiError{status: http.StatusNotFound, stage: "jobs", err: err}))
 		return
 	}
 	if !view.State.Terminal() {
 		retryAfterHeader(w, time.Second)
 	}
-	s.recordRequest(routeJobs, http.StatusOK)
+	s.met.recordRequest(routeJobs, http.StatusOK)
 	writeJSON(w, http.StatusOK, view)
 }
 
@@ -302,10 +302,10 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	view, err := s.jobs.Cancel(r.PathValue("id"))
 	if err != nil {
-		s.recordRequest(routeJobs, s.fail(w, routeJobs, meta, &apiError{status: http.StatusNotFound, stage: "jobs", err: err}))
+		s.met.recordRequest(routeJobs, s.fail(w, routeJobs, meta, &apiError{status: http.StatusNotFound, stage: "jobs", err: err}))
 		return
 	}
-	s.recordRequest(routeJobs, http.StatusOK)
+	s.met.recordRequest(routeJobs, http.StatusOK)
 	writeJSON(w, http.StatusOK, view)
 }
 
@@ -473,50 +473,25 @@ func (s *Server) runJobExperiment(ctx context.Context, req *ExperimentJobRequest
 
 // renderJobsMetrics appends the job subsystem's /metrics series.
 func renderJobsMetrics(b *strings.Builder, jm jobs.Metrics) {
-	fmt.Fprintf(b, "# HELP hpfjobs_jobs Retained jobs by state.\n")
-	fmt.Fprintf(b, "# TYPE hpfjobs_jobs gauge\n")
+	var byState []sample
 	for _, st := range []jobs.State{jobs.StateSubmitted, jobs.StateRunning, jobs.StateDone, jobs.StateFailed, jobs.StateCancelled} {
-		fmt.Fprintf(b, "hpfjobs_jobs{state=%q} %d\n", st, jm.ByState[st])
+		byState = append(byState, sample{series: fmt.Sprintf("{state=%q}", st), value: jm.ByState[st]})
 	}
-	fmt.Fprintf(b, "# HELP hpfjobs_submitted_total Jobs accepted (durably journaled).\n")
-	fmt.Fprintf(b, "# TYPE hpfjobs_submitted_total counter\n")
-	fmt.Fprintf(b, "hpfjobs_submitted_total %d\n", jm.SubmittedTotal)
-	fmt.Fprintf(b, "# HELP hpfjobs_finished_total Jobs reaching a terminal state, by outcome.\n")
-	fmt.Fprintf(b, "# TYPE hpfjobs_finished_total counter\n")
-	fmt.Fprintf(b, "hpfjobs_finished_total{outcome=\"done\"} %d\n", jm.DoneTotal)
-	fmt.Fprintf(b, "hpfjobs_finished_total{outcome=\"failed\"} %d\n", jm.FailedTotal)
-	fmt.Fprintf(b, "hpfjobs_finished_total{outcome=\"cancelled\"} %d\n", jm.CancelledTotal)
-	fmt.Fprintf(b, "# HELP hpfjobs_resumed_total Jobs resumed from the journal after a crash.\n")
-	fmt.Fprintf(b, "# TYPE hpfjobs_resumed_total counter\n")
-	fmt.Fprintf(b, "hpfjobs_resumed_total %d\n", jm.ResumedTotal)
-	fmt.Fprintf(b, "# HELP hpfjobs_handoff_total Running jobs re-marked submitted by a graceful drain.\n")
-	fmt.Fprintf(b, "# TYPE hpfjobs_handoff_total counter\n")
-	fmt.Fprintf(b, "hpfjobs_handoff_total %d\n", jm.HandoffTotal)
-	fmt.Fprintf(b, "# HELP hpfjobs_replay_records_total Journal records applied at startup.\n")
-	fmt.Fprintf(b, "# TYPE hpfjobs_replay_records_total counter\n")
-	fmt.Fprintf(b, "hpfjobs_replay_records_total %d\n", jm.ReplayRecords)
-	fmt.Fprintf(b, "# HELP hpfjobs_replay_truncated_total Torn or corrupt journal records truncated during replay.\n")
-	fmt.Fprintf(b, "# TYPE hpfjobs_replay_truncated_total counter\n")
-	fmt.Fprintf(b, "hpfjobs_replay_truncated_total %d\n", jm.ReplayTruncations)
-	fmt.Fprintf(b, "# HELP hpfjobs_compactions_total Journal segment compactions.\n")
-	fmt.Fprintf(b, "# TYPE hpfjobs_compactions_total counter\n")
-	fmt.Fprintf(b, "hpfjobs_compactions_total %d\n", jm.Compactions)
-	fmt.Fprintf(b, "# HELP hpfjobs_retention_dropped_total Terminal jobs dropped by journal retention.\n")
-	fmt.Fprintf(b, "# TYPE hpfjobs_retention_dropped_total counter\n")
-	fmt.Fprintf(b, "hpfjobs_retention_dropped_total %d\n", jm.RetentionDropped)
-	fmt.Fprintf(b, "# HELP hpfjobs_journal_bytes Size of the active journal segment.\n")
-	fmt.Fprintf(b, "# TYPE hpfjobs_journal_bytes gauge\n")
-	fmt.Fprintf(b, "hpfjobs_journal_bytes %d\n", jm.JournalBytes)
-	fmt.Fprintf(b, "# HELP hpfjobs_recovery_seconds Journal replay plus resume time at last startup.\n")
-	fmt.Fprintf(b, "# TYPE hpfjobs_recovery_seconds gauge\n")
-	fmt.Fprintf(b, "hpfjobs_recovery_seconds %g\n", jm.RecoverySeconds)
-	fmt.Fprintf(b, "# HELP hpfjobs_event_subscribers Live event-feed subscriptions.\n")
-	fmt.Fprintf(b, "# TYPE hpfjobs_event_subscribers gauge\n")
-	fmt.Fprintf(b, "hpfjobs_event_subscribers %d\n", jm.Subscribers)
-	fmt.Fprintf(b, "# HELP hpfjobs_events_total Job state-transition events recorded.\n")
-	fmt.Fprintf(b, "# TYPE hpfjobs_events_total counter\n")
-	fmt.Fprintf(b, "hpfjobs_events_total %d\n", jm.EventsTotal)
-	fmt.Fprintf(b, "# HELP hpfjobs_subscriber_drops_total Slow event consumers dropped from the fan-out.\n")
-	fmt.Fprintf(b, "# TYPE hpfjobs_subscriber_drops_total counter\n")
-	fmt.Fprintf(b, "hpfjobs_subscriber_drops_total %d\n", jm.SubscriberDrops)
+	family(b, "hpfjobs_jobs", "gauge", "Retained jobs by state.", byState...)
+	family(b, "hpfjobs_submitted_total", "counter", "Jobs accepted (durably journaled).", sample{value: jm.SubmittedTotal})
+	family(b, "hpfjobs_finished_total", "counter", "Jobs reaching a terminal state, by outcome.",
+		sample{series: `{outcome="done"}`, value: jm.DoneTotal},
+		sample{series: `{outcome="failed"}`, value: jm.FailedTotal},
+		sample{series: `{outcome="cancelled"}`, value: jm.CancelledTotal})
+	family(b, "hpfjobs_resumed_total", "counter", "Jobs resumed from the journal after a crash.", sample{value: jm.ResumedTotal})
+	family(b, "hpfjobs_handoff_total", "counter", "Running jobs re-marked submitted by a graceful drain.", sample{value: jm.HandoffTotal})
+	family(b, "hpfjobs_replay_records_total", "counter", "Journal records applied at startup.", sample{value: jm.ReplayRecords})
+	family(b, "hpfjobs_replay_truncated_total", "counter", "Torn or corrupt journal records truncated during replay.", sample{value: jm.ReplayTruncations})
+	family(b, "hpfjobs_compactions_total", "counter", "Journal segment compactions.", sample{value: jm.Compactions})
+	family(b, "hpfjobs_retention_dropped_total", "counter", "Terminal jobs dropped by journal retention.", sample{value: jm.RetentionDropped})
+	family(b, "hpfjobs_journal_bytes", "gauge", "Size of the active journal segment.", sample{value: jm.JournalBytes})
+	family(b, "hpfjobs_recovery_seconds", "gauge", "Journal replay plus resume time at last startup.", sample{value: jm.RecoverySeconds})
+	family(b, "hpfjobs_event_subscribers", "gauge", "Live event-feed subscriptions.", sample{value: jm.Subscribers})
+	family(b, "hpfjobs_events_total", "counter", "Job state-transition events recorded.", sample{value: jm.EventsTotal})
+	family(b, "hpfjobs_subscriber_drops_total", "counter", "Slow event consumers dropped from the fan-out.", sample{value: jm.SubscriberDrops})
 }

@@ -2,9 +2,11 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"hpfperf/internal/sweep"
@@ -73,8 +75,9 @@ func (c *floatCounter) Load() float64 { return math.Float64frombits(c.bits.Load(
 // (compiles, cache hits, evictions) are read live from the engine at
 // render time rather than duplicated here.
 type metrics struct {
+	reqMu    sync.Mutex               // guards requests
 	requests map[string]*atomic.Int64 // "route|code" -> count
-	latency  map[string]*histogram    // route -> histogram
+	latency  map[string]*histogram    // route -> histogram; fixed at newMetrics
 	inflight atomic.Int64
 	queued   atomic.Int64 // requests currently waiting for a worker slot
 	rejected atomic.Int64 // drain refusals + clients gone while queued
@@ -96,23 +99,6 @@ type metrics struct {
 	sseHeartbeats     atomic.Int64 // SSE heartbeat comments written
 }
 
-// writeExemplar appends an OpenMetrics exemplar (` # {trace_id=
-// "..."} value`) to a bucket line when a traced request has landed in
-// that bucket, linking the histogram to GET /v1/traces. Exemplars are
-// only legal in the OpenMetrics exposition format — the classic
-// Prometheus text parser rejects the whole scrape on the `#` — so om
-// gates them on the client having negotiated OpenMetrics via Accept.
-func writeExemplar(b *strings.Builder, v *atomic.Value, om bool) {
-	if !om {
-		return
-	}
-	ex, ok := v.Load().(exemplar)
-	if !ok {
-		return
-	}
-	fmt.Fprintf(b, " # {trace_id=%q} %g", ex.traceID, ex.seconds)
-}
-
 func newMetrics(routes []string) *metrics {
 	m := &metrics{
 		requests: make(map[string]*atomic.Int64),
@@ -124,10 +110,50 @@ func newMetrics(routes []string) *metrics {
 	return m
 }
 
-// countRequest records a completed request. The requests map is only
-// grown under the registry lock of Server.recordRequest.
+// key names one route and status code in the requests map.
 func (m *metrics) key(route string, code int) string {
 	return fmt.Sprintf("%s|%d", route, code)
+}
+
+// recordRequest counts one completed request.
+func (m *metrics) recordRequest(route string, code int) {
+	k := m.key(route, code)
+	m.reqMu.Lock()
+	c, ok := m.requests[k]
+	if !ok {
+		c = &atomic.Int64{}
+		m.requests[k] = c
+	}
+	m.reqMu.Unlock()
+	c.Add(1)
+}
+
+// sample is one line of a metric family: the text between the family
+// name and the value (a _bucket, _sum or _count suffix and a label
+// set; either may be empty), the value, and an exemplar or "".
+type sample struct {
+	series   string
+	value    any // int64, int or float64
+	exemplar string
+}
+
+// family writes one metric family in the text exposition format: its
+// HELP and TYPE lines, then one line per sample. %v prints int64 and
+// int values as %d and float64 values as %g.
+func family(b *strings.Builder, name, typ, help string, samples ...sample) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	for _, s := range samples {
+		fmt.Fprintf(b, "%s%s %v%s\n", name, s.series, s.value, s.exemplar)
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // render writes the text exposition of the server counters plus the
@@ -135,122 +161,86 @@ func (m *metrics) key(route string, code int) string {
 // format (exemplars on histogram buckets, trailing # EOF); false emits
 // the classic Prometheus text format, which has no exemplar syntax.
 func (m *metrics) render(b *strings.Builder, snap sweep.Snapshot, cs sweep.CacheStats, om bool) {
-	fmt.Fprintf(b, "# HELP hpfserve_requests_total Completed requests by route and status code.\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_requests_total counter\n")
-	keys := make([]string, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
+	m.reqMu.Lock()
+	requests := maps.Clone(m.requests)
+	m.reqMu.Unlock()
+	var samples []sample
+	for _, k := range sortedKeys(requests) {
+		route, code, _ := strings.Cut(k, "|")
+		samples = append(samples, sample{series: fmt.Sprintf("{route=%q,code=%q}", route, code), value: requests[k].Load()})
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		parts := strings.SplitN(k, "|", 2)
-		fmt.Fprintf(b, "hpfserve_requests_total{route=%q,code=%q} %d\n", parts[0], parts[1], m.requests[k].Load())
-	}
+	family(b, "hpfserve_requests_total", "counter", "Completed requests by route and status code.", samples...)
 
-	fmt.Fprintf(b, "# HELP hpfserve_request_duration_seconds Request latency by route.\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_request_duration_seconds histogram\n")
-	routes := make([]string, 0, len(m.latency))
-	for r := range m.latency {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
-	for _, r := range routes {
+	samples = samples[:0]
+	for _, r := range sortedKeys(m.latency) {
 		h := m.latency[r]
 		cum := int64(0)
-		for i, ub := range latencyBuckets {
+		for i := range h.counts {
 			cum += h.counts[i].Load()
-			fmt.Fprintf(b, "hpfserve_request_duration_seconds_bucket{route=%q,le=\"%g\"} %d", r, ub, cum)
-			writeExemplar(b, &h.exemplars[i], om)
-			b.WriteByte('\n')
+			le := "+Inf"
+			if i < len(latencyBuckets) {
+				le = fmt.Sprint(latencyBuckets[i])
+			}
+			// An exemplar (` # {trace_id="..."} value`) links the bucket
+			// to GET /v1/traces. Only the OpenMetrics format may carry
+			// one: the classic text parser rejects the whole scrape on
+			// the `#`, so om gates it on the client's Accept header.
+			var ex string
+			if e, ok := h.exemplars[i].Load().(exemplar); ok && om {
+				ex = fmt.Sprintf(" # {trace_id=%q} %g", e.traceID, e.seconds)
+			}
+			samples = append(samples, sample{fmt.Sprintf("_bucket{route=%q,le=%q}", r, le), cum, ex})
 		}
-		cum += h.counts[len(latencyBuckets)].Load()
-		fmt.Fprintf(b, "hpfserve_request_duration_seconds_bucket{route=%q,le=\"+Inf\"} %d", r, cum)
-		writeExemplar(b, &h.exemplars[len(latencyBuckets)], om)
-		b.WriteByte('\n')
-		fmt.Fprintf(b, "hpfserve_request_duration_seconds_sum{route=%q} %g\n", r, float64(h.sumNS.Load())/1e9)
-		fmt.Fprintf(b, "hpfserve_request_duration_seconds_count{route=%q} %d\n", r, h.total.Load())
+		samples = append(samples,
+			sample{series: fmt.Sprintf("_sum{route=%q}", r), value: float64(h.sumNS.Load()) / 1e9},
+			sample{series: fmt.Sprintf("_count{route=%q}", r), value: h.total.Load()})
 	}
+	family(b, "hpfserve_request_duration_seconds", "histogram", "Request latency by route.", samples...)
 
-	fmt.Fprintf(b, "# HELP hpfserve_inflight_requests Requests currently being served.\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_inflight_requests gauge\n")
-	fmt.Fprintf(b, "hpfserve_inflight_requests %d\n", m.inflight.Load())
-	fmt.Fprintf(b, "# HELP hpfserve_queued_requests Requests currently waiting for a worker slot.\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_queued_requests gauge\n")
-	fmt.Fprintf(b, "hpfserve_queued_requests %d\n", m.queued.Load())
-	fmt.Fprintf(b, "# HELP hpfserve_rejected_total Requests refused during drain or abandoned by their client while queued.\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_rejected_total counter\n")
-	fmt.Fprintf(b, "hpfserve_rejected_total %d\n", m.rejected.Load())
-	fmt.Fprintf(b, "# HELP hpfserve_shed_total Requests shed by the saturated concurrency gate (429 + Retry-After).\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_shed_total counter\n")
-	fmt.Fprintf(b, "hpfserve_shed_total %d\n", m.shed.Load())
-	fmt.Fprintf(b, "# HELP hpfserve_cost_rejected_total Requests refused by the static cost-admission gate (429 with the estimate in the body).\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_cost_rejected_total counter\n")
-	fmt.Fprintf(b, "hpfserve_cost_rejected_total %d\n", m.costRejected.Load())
-	fmt.Fprintf(b, "# HELP hpfserve_cost_inflight_units Reserved static cost of admitted in-flight requests.\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_cost_inflight_units gauge\n")
-	fmt.Fprintf(b, "hpfserve_cost_inflight_units %g\n", float64(m.costInflightMilli.Load())/1000)
-	fmt.Fprintf(b, "# HELP hpfserve_cost_admitted_units_total Cumulative static cost admitted through the gate.\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_cost_admitted_units_total counter\n")
-	fmt.Fprintf(b, "hpfserve_cost_admitted_units_total %g\n", m.costAdmittedMilli.Load()/1000)
-	fmt.Fprintf(b, "# HELP hpfserve_batch_points_total Batch points by per-point outcome.\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_batch_points_total counter\n")
-	fmt.Fprintf(b, "hpfserve_batch_points_total{outcome=\"ok\"} %d\n", m.batchPointsOK.Load())
-	fmt.Fprintf(b, "hpfserve_batch_points_total{outcome=\"error\"} %d\n", m.batchPointsFailed.Load())
-	fmt.Fprintf(b, "# HELP hpfserve_sse_streams Live job event streams.\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_sse_streams gauge\n")
-	fmt.Fprintf(b, "hpfserve_sse_streams %d\n", m.sseStreams.Load())
-	fmt.Fprintf(b, "# HELP hpfserve_sse_events_total SSE events written to clients.\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_sse_events_total counter\n")
-	fmt.Fprintf(b, "hpfserve_sse_events_total %d\n", m.sseEvents.Load())
-	fmt.Fprintf(b, "# HELP hpfserve_sse_heartbeats_total SSE heartbeat comments written on idle streams.\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_sse_heartbeats_total counter\n")
-	fmt.Fprintf(b, "hpfserve_sse_heartbeats_total %d\n", m.sseHeartbeats.Load())
-	fmt.Fprintf(b, "# HELP hpfserve_panics_total Handler panics recovered into error responses.\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_panics_total counter\n")
-	fmt.Fprintf(b, "hpfserve_panics_total %d\n", m.panics.Load())
-	fmt.Fprintf(b, "# HELP sweep_point_retries_total Transient sweep-point failures retried with backoff.\n")
-	fmt.Fprintf(b, "# TYPE sweep_point_retries_total counter\n")
-	fmt.Fprintf(b, "sweep_point_retries_total %d\n", snap.Retries)
-	fmt.Fprintf(b, "# HELP sweep_point_panics_total Sweep-point panics recovered into typed errors.\n")
-	fmt.Fprintf(b, "# TYPE sweep_point_panics_total counter\n")
-	fmt.Fprintf(b, "sweep_point_panics_total %d\n", snap.PointPanics)
-	fmt.Fprintf(b, "# HELP sweep_checkpoint_skipped_total Sweep results excluded from checkpoints (no JSON round-trip); a resumed run re-evaluates them.\n")
-	fmt.Fprintf(b, "# TYPE sweep_checkpoint_skipped_total counter\n")
-	fmt.Fprintf(b, "sweep_checkpoint_skipped_total %d\n", snap.CheckpointSkips)
+	family(b, "hpfserve_inflight_requests", "gauge", "Requests currently being served.", sample{value: m.inflight.Load()})
+	family(b, "hpfserve_queued_requests", "gauge", "Requests currently waiting for a worker slot.", sample{value: m.queued.Load()})
+	family(b, "hpfserve_rejected_total", "counter", "Requests refused during drain or abandoned by their client while queued.", sample{value: m.rejected.Load()})
+	family(b, "hpfserve_shed_total", "counter", "Requests shed by the saturated concurrency gate (429 + Retry-After).", sample{value: m.shed.Load()})
+	family(b, "hpfserve_cost_rejected_total", "counter", "Requests refused by the static cost-admission gate (429 with the estimate in the body).", sample{value: m.costRejected.Load()})
+	family(b, "hpfserve_cost_inflight_units", "gauge", "Reserved static cost of admitted in-flight requests.", sample{value: float64(m.costInflightMilli.Load()) / 1000})
+	family(b, "hpfserve_cost_admitted_units_total", "counter", "Cumulative static cost admitted through the gate.", sample{value: m.costAdmittedMilli.Load() / 1000})
+	family(b, "hpfserve_batch_points_total", "counter", "Batch points by per-point outcome.",
+		sample{series: `{outcome="ok"}`, value: m.batchPointsOK.Load()},
+		sample{series: `{outcome="error"}`, value: m.batchPointsFailed.Load()})
+	family(b, "hpfserve_sse_streams", "gauge", "Live job event streams.", sample{value: m.sseStreams.Load()})
+	family(b, "hpfserve_sse_events_total", "counter", "SSE events written to clients.", sample{value: m.sseEvents.Load()})
+	family(b, "hpfserve_sse_heartbeats_total", "counter", "SSE heartbeat comments written on idle streams.", sample{value: m.sseHeartbeats.Load()})
+	family(b, "hpfserve_panics_total", "counter", "Handler panics recovered into error responses.", sample{value: m.panics.Load()})
+	family(b, "sweep_point_retries_total", "counter", "Transient sweep-point failures retried with backoff.", sample{value: snap.Retries})
+	family(b, "sweep_point_panics_total", "counter", "Sweep-point panics recovered into typed errors.", sample{value: snap.PointPanics})
+	family(b, "sweep_checkpoint_skipped_total", "counter", "Sweep results excluded from checkpoints (no JSON round-trip); a resumed run re-evaluates them.", sample{value: snap.CheckpointSkips})
 
-	fmt.Fprintf(b, "# HELP sweep_stage_runs_total Pipeline stage executions (cache misses that did work).\n")
-	fmt.Fprintf(b, "# TYPE sweep_stage_runs_total counter\n")
-	fmt.Fprintf(b, "sweep_stage_runs_total{stage=\"compile\"} %d\n", snap.Compiles)
-	fmt.Fprintf(b, "sweep_stage_runs_total{stage=\"interpret\"} %d\n", snap.Interps)
-	fmt.Fprintf(b, "sweep_stage_runs_total{stage=\"execute\"} %d\n", snap.Execs)
-	fmt.Fprintf(b, "# HELP sweep_stage_seconds_total Cumulative wall time per pipeline stage.\n")
-	fmt.Fprintf(b, "# TYPE sweep_stage_seconds_total counter\n")
-	fmt.Fprintf(b, "sweep_stage_seconds_total{stage=\"compile\"} %g\n", snap.CompileTime.Seconds())
-	fmt.Fprintf(b, "sweep_stage_seconds_total{stage=\"interpret\"} %g\n", snap.InterpTime.Seconds())
-	fmt.Fprintf(b, "sweep_stage_seconds_total{stage=\"execute\"} %g\n", snap.ExecTime.Seconds())
-	fmt.Fprintf(b, "# HELP sweep_cache_lookups_total Cache lookups by kind and outcome.\n")
-	fmt.Fprintf(b, "# TYPE sweep_cache_lookups_total counter\n")
-	fmt.Fprintf(b, "sweep_cache_lookups_total{kind=\"compile\",outcome=\"hit\"} %d\n", snap.CompileHits)
-	fmt.Fprintf(b, "sweep_cache_lookups_total{kind=\"compile\",outcome=\"miss\"} %d\n", snap.CompileMisses)
-	fmt.Fprintf(b, "sweep_cache_lookups_total{kind=\"predict\",outcome=\"hit\"} %d\n", snap.PredictHits)
-	fmt.Fprintf(b, "sweep_cache_lookups_total{kind=\"predict\",outcome=\"miss\"} %d\n", snap.PredictMisses)
-	fmt.Fprintf(b, "sweep_cache_lookups_total{kind=\"report\",outcome=\"hit\"} %d\n", snap.ReportHits)
-	fmt.Fprintf(b, "sweep_cache_lookups_total{kind=\"report\",outcome=\"miss\"} %d\n", snap.ReportMisses)
-	fmt.Fprintf(b, "sweep_cache_lookups_total{kind=\"exec\",outcome=\"hit\"} %d\n", snap.ExecHits)
-	fmt.Fprintf(b, "sweep_cache_lookups_total{kind=\"exec\",outcome=\"miss\"} %d\n", snap.ExecMisses)
-	fmt.Fprintf(b, "# HELP sweep_cache_entries Live entries in the bounded LRU cache.\n")
-	fmt.Fprintf(b, "# TYPE sweep_cache_entries gauge\n")
-	fmt.Fprintf(b, "sweep_cache_entries{kind=\"compile\"} %d\n", cs.CompileEntries)
-	fmt.Fprintf(b, "sweep_cache_entries{kind=\"predict\"} %d\n", cs.PredictEntries)
-	fmt.Fprintf(b, "sweep_cache_entries{kind=\"report\"} %d\n", cs.ReportEntries)
-	fmt.Fprintf(b, "sweep_cache_entries{kind=\"exec\"} %d\n", cs.MeasureEntries)
-	fmt.Fprintf(b, "# HELP sweep_cache_capacity_entries LRU capacity in compile entries; each holds at most 16 artifacts per derived kind.\n")
-	fmt.Fprintf(b, "# TYPE sweep_cache_capacity_entries gauge\n")
-	fmt.Fprintf(b, "sweep_cache_capacity_entries %d\n", cs.Cap)
-	fmt.Fprintf(b, "# HELP sweep_cache_evictions_total LRU evictions by kind.\n")
-	fmt.Fprintf(b, "# TYPE sweep_cache_evictions_total counter\n")
-	fmt.Fprintf(b, "sweep_cache_evictions_total{kind=\"compile\"} %d\n", cs.CompileEvictions)
-	fmt.Fprintf(b, "sweep_cache_evictions_total{kind=\"predict\"} %d\n", cs.PredictEvictions)
-	fmt.Fprintf(b, "sweep_cache_evictions_total{kind=\"report\"} %d\n", cs.ReportEvictions)
-	fmt.Fprintf(b, "sweep_cache_evictions_total{kind=\"exec\"} %d\n", cs.MeasureEvictions)
+	family(b, "sweep_stage_runs_total", "counter", "Pipeline stage executions (cache misses that did work).",
+		sample{series: `{stage="compile"}`, value: snap.Compiles},
+		sample{series: `{stage="interpret"}`, value: snap.Interps},
+		sample{series: `{stage="execute"}`, value: snap.Execs})
+	family(b, "sweep_stage_seconds_total", "counter", "Cumulative wall time per pipeline stage.",
+		sample{series: `{stage="compile"}`, value: snap.CompileTime.Seconds()},
+		sample{series: `{stage="interpret"}`, value: snap.InterpTime.Seconds()},
+		sample{series: `{stage="execute"}`, value: snap.ExecTime.Seconds()})
+	family(b, "sweep_cache_lookups_total", "counter", "Cache lookups by kind and outcome.",
+		sample{series: `{kind="compile",outcome="hit"}`, value: snap.CompileHits},
+		sample{series: `{kind="compile",outcome="miss"}`, value: snap.CompileMisses},
+		sample{series: `{kind="predict",outcome="hit"}`, value: snap.PredictHits},
+		sample{series: `{kind="predict",outcome="miss"}`, value: snap.PredictMisses},
+		sample{series: `{kind="report",outcome="hit"}`, value: snap.ReportHits},
+		sample{series: `{kind="report",outcome="miss"}`, value: snap.ReportMisses},
+		sample{series: `{kind="exec",outcome="hit"}`, value: snap.ExecHits},
+		sample{series: `{kind="exec",outcome="miss"}`, value: snap.ExecMisses})
+	family(b, "sweep_cache_entries", "gauge", "Live entries in the bounded LRU cache.",
+		sample{series: `{kind="compile"}`, value: cs.CompileEntries},
+		sample{series: `{kind="predict"}`, value: cs.PredictEntries},
+		sample{series: `{kind="report"}`, value: cs.ReportEntries},
+		sample{series: `{kind="exec"}`, value: cs.MeasureEntries})
+	family(b, "sweep_cache_capacity_entries", "gauge", "LRU capacity in compile entries; each holds at most 16 artifacts per derived kind.", sample{value: cs.Cap})
+	family(b, "sweep_cache_evictions_total", "counter", "LRU evictions by kind.",
+		sample{series: `{kind="compile"}`, value: cs.CompileEvictions},
+		sample{series: `{kind="predict"}`, value: cs.PredictEvictions},
+		sample{series: `{kind="report"}`, value: cs.ReportEvictions},
+		sample{series: `{kind="exec"}`, value: cs.MeasureEvictions})
 }

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hpfperf/internal/analysis"
@@ -106,7 +105,6 @@ type Server struct {
 	ring *obs.Ring     // last N request traces (GET /v1/traces)
 	jobs *jobs.Manager // durable async jobs; nil until OpenJobs
 
-	reqMu    sync.Mutex // guards met.requests growth
 	inflight sync.WaitGroup
 	drainMu  sync.RWMutex // orders the drain check and inflight.Add before Shutdown's Wait
 	draining bool         // guarded by drainMu
@@ -258,18 +256,6 @@ func (s *Server) log(level slog.Level, msg string, args ...any) {
 	}
 }
 
-func (s *Server) recordRequest(route string, code int) {
-	s.reqMu.Lock()
-	k := s.met.key(route, code)
-	c, ok := s.met.requests[k]
-	if !ok {
-		c = &atomic.Int64{}
-		s.met.requests[k] = c
-	}
-	s.reqMu.Unlock()
-	c.Add(1)
-}
-
 // timeout resolves a request's timeout_ms against the server limits.
 func (s *Server) timeout(ms int64) time.Duration {
 	if ms <= 0 {
@@ -347,7 +333,7 @@ func (s *Server) api(route string, h func(ctx context.Context, body []byte) (any
 				})
 			}
 			s.met.latency[route].observe(elapsed.Seconds(), exemplarID)
-			s.recordRequest(route, code)
+			s.met.recordRequest(route, code)
 		}()
 
 		if r.Method != http.MethodPost {
@@ -774,9 +760,7 @@ func acceptsOpenMetrics(r *http.Request) bool {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	om := acceptsOpenMetrics(r)
 	var b strings.Builder
-	s.reqMu.Lock()
 	s.met.render(&b, s.eng.Snapshot(), s.eng.Cache().CacheStats(), om)
-	s.reqMu.Unlock()
 	if s.jobs != nil {
 		renderJobsMetrics(&b, s.jobs.Metrics())
 	}
