@@ -26,12 +26,13 @@ type exemplar struct {
 }
 
 // histogram is a fixed-bucket latency histogram with atomic counters
-// (one per route; written on every request, read by /metrics).
+// (one per route; written on every request, read by /metrics). Its
+// count is the sum of the buckets, so a scrape during traffic still
+// reports a _count equal to its +Inf bucket.
 type histogram struct {
 	counts    []atomic.Int64 // len(latencyBuckets)+1; last is +Inf
 	exemplars []atomic.Value // of exemplar; last traced request per bucket
 	sumNS     atomic.Int64
-	total     atomic.Int64
 }
 
 func newHistogram() *histogram {
@@ -53,7 +54,6 @@ func (h *histogram) observe(seconds float64, traceID string) {
 		h.exemplars[i].Store(exemplar{traceID: traceID, seconds: seconds})
 	}
 	h.sumNS.Add(int64(seconds * 1e9))
-	h.total.Add(1)
 }
 
 // floatCounter is a float64 counter for cumulative quantities an int64
@@ -193,7 +193,7 @@ func (m *metrics) render(b *strings.Builder, snap sweep.Snapshot, cs sweep.Cache
 		}
 		samples = append(samples,
 			sample{series: fmt.Sprintf("_sum{route=%q}", r), value: float64(h.sumNS.Load()) / 1e9},
-			sample{series: fmt.Sprintf("_count{route=%q}", r), value: h.total.Load()})
+			sample{series: fmt.Sprintf("_count{route=%q}", r), value: cum})
 	}
 	family(b, "hpfserve_request_duration_seconds", "histogram", "Request latency by route.", samples...)
 

@@ -14,10 +14,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -244,4 +247,158 @@ func TestMetricsExpositionValues(t *testing.T) {
 	if len(gl) != len(wl) {
 		t.Fatalf("/metrics has %d lines, %s has %d", len(gl), valuesGoldenPath, len(wl))
 	}
+}
+
+// checkScrape parses one /metrics scrape and reports the first way it
+// is malformed: a sample outside the family its HELP and TYPE lines
+// open, histogram buckets whose le or cumulative count falls, a _count
+// unequal to its +Inf bucket, an exemplar off a bucket line or outside
+// OpenMetrics, a missing or stray # EOF, or a counter or histogram
+// sample lower than in prev, the same client's previous scrape. It
+// returns the scrape's counter and histogram samples by series.
+func checkScrape(text string, om bool, prev map[string]float64) (map[string]float64, error) {
+	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+	if om {
+		if lines[len(lines)-1] != "# EOF" {
+			return nil, fmt.Errorf("OpenMetrics scrape does not end in # EOF")
+		}
+		lines = lines[:len(lines)-1]
+	}
+	cur := make(map[string]float64)
+	var name, typ string
+	// Per histogram series (its labels without le): the last bucket's
+	// le and cumulative count, and the +Inf bucket's count.
+	lastLE, lastCum, infCount := make(map[string]float64), make(map[string]float64), make(map[string]float64)
+	for i := 0; i < len(lines); i++ {
+		line := lines[i]
+		if help, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, _, _ = strings.Cut(help, " ")
+			if i+1 == len(lines) || !strings.HasPrefix(lines[i+1], "# TYPE "+name+" ") {
+				return nil, fmt.Errorf("HELP of %s not followed by its TYPE", name)
+			}
+			i++
+			typ = strings.TrimPrefix(lines[i], "# TYPE "+name+" ")
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			return nil, fmt.Errorf("stray comment line %q", line)
+		}
+		series := seriesShape(line)
+		rest := strings.TrimPrefix(line[len(series):], " ")
+		valText, ex, hasEx := strings.Cut(rest, " # ")
+		v, err := strconv.ParseFloat(valText, 64)
+		if err != nil {
+			return nil, fmt.Errorf("sample %q: %v", line, err)
+		}
+		sname, labels, _ := strings.Cut(series, "{")
+		suffix, ok := strings.CutPrefix(sname, name)
+		if name == "" || !ok || (suffix != "" && typ != "histogram") {
+			return nil, fmt.Errorf("sample %q outside its family (open family %q)", line, name)
+		}
+		if hasEx && (!om || suffix != "_bucket" || !strings.HasPrefix(ex, `{trace_id="`)) {
+			return nil, fmt.Errorf("exemplar on %q (openmetrics=%v)", line, om)
+		}
+		if typ == "histogram" {
+			group, le, _ := strings.Cut(labels, ",le=")
+			group = strings.TrimSuffix(group, "}")
+			switch suffix {
+			case "_bucket":
+				bound, err := strconv.ParseFloat(strings.Trim(le, `"}`), 64)
+				if err != nil {
+					return nil, fmt.Errorf("bucket %q: %v", line, err)
+				}
+				if last, seen := lastLE[group]; seen && (bound <= last || v < lastCum[group]) {
+					return nil, fmt.Errorf("bucket %q does not ascend", line)
+				}
+				lastLE[group], lastCum[group] = bound, v
+				if math.IsInf(bound, 1) {
+					infCount[group] = v
+				}
+			case "_count":
+				if inf, seen := infCount[group]; !seen || inf != v {
+					return nil, fmt.Errorf("%q: _count differs from the +Inf bucket (%g)", line, inf)
+				}
+			}
+		}
+		if typ == "counter" || typ == "histogram" {
+			if p, seen := prev[series]; seen && v < p {
+				return nil, fmt.Errorf("%s fell from %g to %g", series, p, v)
+			}
+			cur[series] = v
+		}
+	}
+	return cur, nil
+}
+
+// TestMetricsScrapeUnderTraffic scrapes /metrics in both formats while
+// predict and batch requests run, some of them shed with 429 by a
+// one-slot gate, and checks every scrape with checkScrape.
+func TestMetricsScrapeUnderTraffic(t *testing.T) {
+	_, base := newJobsServer(t, Config{TraceAll: true, MaxConcurrent: 1, MaxQueueDepth: 1}, jobs.Config{})
+	predict := PredictRequest{Source: tinyProgram}
+	bodies := []struct {
+		route string
+		body  any
+	}{
+		{"predict", predict},
+		{"batch", BatchRequest{Points: []BatchPoint{{Predict: &predict}, {Predict: &PredictRequest{Source: "garbage ("}}}}},
+	}
+	var traffic, scrapers sync.WaitGroup
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		traffic.Add(1)
+		go func(g int) {
+			defer traffic.Done()
+			c := bodies[g%len(bodies)]
+			raw, _ := json.Marshal(c.body)
+			for i := 0; i < 20; i++ {
+				resp, err := http.Post(base+"/v1/"+c.route, "application/json", strings.NewReader(string(raw)))
+				if err != nil {
+					t.Errorf("%s: %v", c.route, err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
+					t.Errorf("%s: status %d", c.route, resp.StatusCode)
+				}
+			}
+		}(g)
+	}
+	for _, accept := range []string{"", "application/openmetrics-text"} {
+		scrapers.Add(1)
+		go func(accept string) {
+			defer scrapers.Done()
+			var prev map[string]float64
+			for n := 0; ; n++ {
+				select {
+				case <-done:
+					if n >= 2 {
+						return
+					}
+				default:
+				}
+				req, _ := http.NewRequest(http.MethodGet, base+"/metrics", nil)
+				if accept != "" {
+					req.Header.Set("Accept", accept)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Errorf("scrape: %v", err)
+					return
+				}
+				raw, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				cur, err := checkScrape(string(raw), accept != "", prev)
+				if err != nil {
+					t.Errorf("scrape %d (Accept %q): %v", n, accept, err)
+					return
+				}
+				prev = cur
+			}
+		}(accept)
+	}
+	traffic.Wait()
+	close(done)
+	scrapers.Wait()
 }
