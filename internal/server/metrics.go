@@ -89,7 +89,7 @@ type metrics struct {
 	// cumulative count is a float, so no run of prices can wrap it.
 	costRejected      atomic.Int64 // requests refused over a cost budget (429)
 	costInflightMilli atomic.Int64 // reserved static cost of admitted requests
-	costAdmittedMilli floatCounter // cumulative admitted static cost
+	costAdmittedMilli floatCounter // cumulative admitted static cost, unsaturated
 
 	// Batch data plane and SSE streaming counters (batch.go, events.go).
 	batchPointsOK     atomic.Int64 // batch points answered with a result
@@ -189,7 +189,7 @@ func (m *metrics) render(b *strings.Builder, snap sweep.Snapshot, cs sweep.Cache
 			if e, ok := h.exemplars[i].Load().(exemplar); ok && om {
 				ex = fmt.Sprintf(" # {trace_id=%q} %g", e.traceID, e.seconds)
 			}
-			samples = append(samples, sample{fmt.Sprintf("_bucket{route=%q,le=%q}", r, le), cum, ex})
+			samples = append(samples, sample{series: fmt.Sprintf("_bucket{route=%q,le=%q}", r, le), value: cum, exemplar: ex})
 		}
 		samples = append(samples,
 			sample{series: fmt.Sprintf("_sum{route=%q}", r), value: float64(h.sumNS.Load()) / 1e9},
