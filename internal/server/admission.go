@@ -149,10 +149,10 @@ func (s *Server) admitCost(what string, refuse func(i int, aerr *apiError), prog
 		refuse(i, aerr)
 	}
 
-	// The cumulative counter takes the unsaturated milli-units: a
-	// saturated price would count every huge request alike, and three
-	// of them would wrap an int64.
-	admitted := math.Trunc(max(units, 0) * 1000)
+	// The cumulative counter takes whole milli-units like costMilli, but
+	// unsaturated, so a price past the saturation point counts at its
+	// own size; sums of ordinary prices stay exact in a float64.
+	admitted := math.Trunc(units * 1000)
 	milli := costMilli(units)
 	if s.cfg.MaxInflightCostUnits <= 0 {
 		s.met.costAdmittedMilli.Add(admitted)
