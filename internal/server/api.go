@@ -256,7 +256,9 @@ type HealthResponse struct {
 	Inflight int64  `json:"inflight"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON writes v as the response body with status, and returns
+// the status for the caller's accounting.
+func writeJSON(w http.ResponseWriter, status int, v any) int {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -265,6 +267,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		// The status line is already out; nothing more to do.
 		_ = err
 	}
+	return status
 }
 
 // apiError carries an HTTP status and stage label through a handler.

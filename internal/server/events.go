@@ -26,16 +26,16 @@ import (
 	"hpfperf/internal/jobs"
 )
 
-// handleJobEvents serves GET /v1/jobs/{id}/events. It sits outside the
-// api() wrapper (worker slots and cost budgets are sized for
-// request/response work, not long-lived streams) but passes the
-// admission gate's drain check, which registers it with the drain
-// group, so Shutdown waits for streams to tear down — which they do
-// promptly, because jobs.Drain closes every subscription first.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	meta := s.jobMeta(w, r)
-	if s.jobsDisabled(w, meta) {
-		return
+// handleJobEvents serves GET /v1/jobs/{id}/events, an untraced serve
+// handler that counts the stream when it ends. It skips api's gate
+// (worker slots and cost budgets are sized for request/response work,
+// not long-lived streams) but passes the admission gate's drain check,
+// which registers it with the drain group, so Shutdown waits for
+// streams to tear down — which they do promptly, because jobs.Drain
+// closes every subscription first.
+func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, meta reqMeta) int {
+	if aerr := s.jobsOff(); aerr != nil {
+		return s.fail(w, routeEvents, meta, aerr)
 	}
 	after := 0
 	cursor := r.Header.Get("Last-Event-ID")
@@ -45,9 +45,8 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if cursor != "" {
 		n, err := strconv.Atoi(cursor)
 		if err != nil || n < 0 {
-			s.met.recordRequest(routeEvents, s.fail(w, routeEvents, meta, errf(http.StatusBadRequest, "decode",
-				"Last-Event-ID must be a non-negative event sequence number, got %q", cursor)))
-			return
+			return s.fail(w, routeEvents, meta, errf(http.StatusBadRequest, "decode",
+				"Last-Event-ID must be a non-negative event sequence number, got %q", cursor))
 		}
 		after = n
 	}
@@ -62,21 +61,18 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		case jobs.ErrSubscriberLimit:
 			aerr.status, aerr.stage = http.StatusTooManyRequests, "overload"
 		}
-		s.met.recordRequest(routeEvents, s.fail(w, routeEvents, meta, aerr))
-		return
+		return s.fail(w, routeEvents, meta, aerr)
 	}
 	defer sub.Cancel()
 
 	// The drain check follows Subscribe, so once jobs.Drain has run the
 	// refusal is still the ErrDraining one above.
 	if aerr := s.enter(); aerr != nil {
-		s.met.recordRequest(routeEvents, s.fail(w, routeEvents, meta, aerr))
-		return
+		return s.fail(w, routeEvents, meta, aerr)
 	}
 	defer s.inflight.Done()
 	s.met.sseStreams.Add(1)
 	defer s.met.sseStreams.Add(-1)
-	s.met.recordRequest(routeEvents, http.StatusOK)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -85,6 +81,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	_ = rc.Flush()
 
+	// The 200 is out, so however the stream ends it is counted as one.
 	hb := time.NewTicker(s.cfg.SSEHeartbeat)
 	defer hb.Stop()
 	for {
@@ -95,32 +92,32 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 				// this consumer fell behind and was dropped. The client
 				// reconnects with its Last-Event-ID (or falls back to
 				// polling during drain).
-				return
+				return http.StatusOK
 			}
 			data, err := json.Marshal(ev)
 			if err != nil {
-				return
+				return http.StatusOK
 			}
 			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.State, data); err != nil {
-				return
+				return http.StatusOK
 			}
 			if err := rc.Flush(); err != nil {
-				return
+				return http.StatusOK
 			}
 			s.met.sseEvents.Add(1)
 			if ev.Terminal {
-				return
+				return http.StatusOK
 			}
 		case <-hb.C:
 			if _, err := fmt.Fprint(w, ": hb\n\n"); err != nil {
-				return
+				return http.StatusOK
 			}
 			if err := rc.Flush(); err != nil {
-				return
+				return http.StatusOK
 			}
 			s.met.sseHeartbeats.Add(1)
 		case <-r.Context().Done():
-			return
+			return http.StatusOK
 		}
 	}
 }

@@ -3,7 +3,10 @@
 // durable jobs subsystem (package jobs); GET /v1/jobs/{id} polls it,
 // DELETE /v1/jobs/{id} cancels it. Jobs survive SIGKILL: a restarted
 // server replays the journal and resumes each in-flight job from its
-// last sweep checkpoint, producing byte-identical final output.
+// last sweep checkpoint, producing byte-identical final output. The
+// submit goes through api(); the list, the polls and the cancel are
+// untraced serve handlers, counted and timed like every other route
+// but holding no worker slot.
 
 package server
 
@@ -153,10 +156,19 @@ func (s *Server) recordJobTrace(v jobs.JobView, tree *obs.Tree) {
 	})
 }
 
+// jobsOff is the 501 every jobs route answers until OpenJobs is
+// called, and nil once it has been.
+func (s *Server) jobsOff() *apiError {
+	if s.jobs != nil {
+		return nil
+	}
+	return errf(http.StatusNotImplemented, "jobs", "async jobs are disabled (start hpfserve with -jobs-dir)")
+}
+
 // handleJobSubmit is the POST /v1/jobs handler body (wrapped by api()).
 func (s *Server) handleJobSubmit(_ context.Context, body []byte) (any, *apiError) {
-	if s.jobs == nil {
-		return nil, errf(http.StatusNotImplemented, "jobs", "async jobs are disabled (start hpfserve with -jobs-dir)")
+	if aerr := s.jobsOff(); aerr != nil {
+		return nil, aerr
 	}
 	var req JobSubmitRequest
 	if aerr := decode(body, &req); aerr != nil {
@@ -246,67 +258,40 @@ func validateJobRequest(req *JobSubmitRequest) *apiError {
 	return nil
 }
 
-// jobMeta mints correlation headers for the GET/DELETE job surfaces
-// (which sit outside the api() wrapper) and counts the request.
-func (s *Server) jobMeta(w http.ResponseWriter, r *http.Request) reqMeta {
-	meta := s.newMeta(r)
-	meta.tracer = nil // status polls are not worth spanning
-	w.Header().Set("X-HPF-Request-Id", meta.reqID)
-	w.Header().Set("traceparent", obs.FormatTraceparent(meta.traceID))
-	return meta
-}
-
-func (s *Server) jobsDisabled(w http.ResponseWriter, meta reqMeta) bool {
-	if s.jobs != nil {
-		return false
-	}
-	s.met.recordRequest(routeJobs, s.fail(w, routeJobs, meta, errf(http.StatusNotImplemented, "jobs",
-		"async jobs are disabled (start hpfserve with -jobs-dir)")))
-	return true
-}
-
 // handleJobList serves GET /v1/jobs: every retained job, newest first.
-func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	meta := s.jobMeta(w, r)
-	if s.jobsDisabled(w, meta) {
-		return
+func (s *Server) handleJobList(w http.ResponseWriter, _ *http.Request, meta reqMeta) int {
+	if aerr := s.jobsOff(); aerr != nil {
+		return s.fail(w, routeJobs, meta, aerr)
 	}
-	s.met.recordRequest(routeJobs, http.StatusOK)
-	writeJSON(w, http.StatusOK, JobListResponse{Jobs: s.jobs.List()})
+	return writeJSON(w, http.StatusOK, JobListResponse{Jobs: s.jobs.List()})
 }
 
 // handleJobGet serves GET /v1/jobs/{id}: one job's status snapshot.
 // Non-terminal states advertise a poll interval via Retry-After.
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	meta := s.jobMeta(w, r)
-	if s.jobsDisabled(w, meta) {
-		return
+func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request, meta reqMeta) int {
+	if aerr := s.jobsOff(); aerr != nil {
+		return s.fail(w, routeJobs, meta, aerr)
 	}
 	view, err := s.jobs.Get(r.PathValue("id"))
 	if err != nil {
-		s.met.recordRequest(routeJobs, s.fail(w, routeJobs, meta, &apiError{status: http.StatusNotFound, stage: "jobs", err: err}))
-		return
+		return s.fail(w, routeJobs, meta, &apiError{status: http.StatusNotFound, stage: "jobs", err: err})
 	}
 	if !view.State.Terminal() {
 		retryAfterHeader(w, time.Second)
 	}
-	s.met.recordRequest(routeJobs, http.StatusOK)
-	writeJSON(w, http.StatusOK, view)
+	return writeJSON(w, http.StatusOK, view)
 }
 
 // handleJobCancel serves DELETE /v1/jobs/{id}.
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	meta := s.jobMeta(w, r)
-	if s.jobsDisabled(w, meta) {
-		return
+func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request, meta reqMeta) int {
+	if aerr := s.jobsOff(); aerr != nil {
+		return s.fail(w, routeJobs, meta, aerr)
 	}
 	view, err := s.jobs.Cancel(r.PathValue("id"))
 	if err != nil {
-		s.met.recordRequest(routeJobs, s.fail(w, routeJobs, meta, &apiError{status: http.StatusNotFound, stage: "jobs", err: err}))
-		return
+		return s.fail(w, routeJobs, meta, &apiError{status: http.StatusNotFound, stage: "jobs", err: err})
 	}
-	s.met.recordRequest(routeJobs, http.StatusOK)
-	writeJSON(w, http.StatusOK, view)
+	return writeJSON(w, http.StatusOK, view)
 }
 
 // executeJob is the server's jobs.Executor: it re-decodes the journaled

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -75,9 +74,9 @@ func (c *floatCounter) Load() float64 { return math.Float64frombits(c.bits.Load(
 // (compiles, cache hits, evictions) are read live from the engine at
 // render time rather than duplicated here.
 type metrics struct {
-	reqMu    sync.Mutex               // guards requests
-	requests map[string]*atomic.Int64 // "route|code" -> count
-	latency  map[string]*histogram    // route -> histogram; fixed at newMetrics
+	reqMu    sync.Mutex            // guards requests
+	requests map[reqKey]int64      // completed requests by route and status
+	latency  map[string]*histogram // route -> histogram; fixed at newMetrics
 	inflight atomic.Int64
 	queued   atomic.Int64 // requests currently waiting for a worker slot
 	rejected atomic.Int64 // drain refusals + clients gone while queued
@@ -101,7 +100,7 @@ type metrics struct {
 
 func newMetrics(routes []string) *metrics {
 	m := &metrics{
-		requests: make(map[string]*atomic.Int64),
+		requests: make(map[reqKey]int64),
 		latency:  make(map[string]*histogram),
 	}
 	for _, r := range routes {
@@ -110,22 +109,18 @@ func newMetrics(routes []string) *metrics {
 	return m
 }
 
-// key names one route and status code in the requests map.
-func (m *metrics) key(route string, code int) string {
-	return fmt.Sprintf("%s|%d", route, code)
+// reqKey names one route and status code in the requests map.
+type reqKey struct {
+	route string
+	code  int
 }
 
-// recordRequest counts one completed request.
+// recordRequest counts one completed request. After the first request
+// of a route and code it allocates nothing.
 func (m *metrics) recordRequest(route string, code int) {
-	k := m.key(route, code)
 	m.reqMu.Lock()
-	c, ok := m.requests[k]
-	if !ok {
-		c = &atomic.Int64{}
-		m.requests[k] = c
-	}
+	m.requests[reqKey{route, code}]++
 	m.reqMu.Unlock()
-	c.Add(1)
 }
 
 // sample is one line of a metric family: the text between the family
@@ -161,13 +156,18 @@ func sortedKeys[V any](m map[string]V) []string {
 // format (exemplars on histogram buckets, trailing # EOF); false emits
 // the classic Prometheus text format, which has no exemplar syntax.
 func (m *metrics) render(b *strings.Builder, snap sweep.Snapshot, cs sweep.CacheStats, om bool) {
+	// The series are ordered by their route|code text, which puts
+	// jobs_events before jobs.
 	m.reqMu.Lock()
-	requests := maps.Clone(m.requests)
+	requests := make(map[string]int64, len(m.requests))
+	for k, n := range m.requests {
+		requests[fmt.Sprintf("%s|%d", k.route, k.code)] = n
+	}
 	m.reqMu.Unlock()
 	var samples []sample
 	for _, k := range sortedKeys(requests) {
 		route, code, _ := strings.Cut(k, "|")
-		samples = append(samples, sample{series: fmt.Sprintf("{route=%q,code=%q}", route, code), value: requests[k].Load()})
+		samples = append(samples, sample{series: fmt.Sprintf("{route=%q,code=%q}", route, code), value: requests[k]})
 	}
 	family(b, "hpfserve_requests_total", "counter", "Completed requests by route and status code.", samples...)
 

@@ -10,6 +10,8 @@ package server
 //	go test ./internal/server -run TestMetricsExpositionGolden -update
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -21,7 +23,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,6 +121,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	if evs := openSSE(t, base, sub.Job.ID, 0).collectSSE(t); len(evs) == 0 || !evs[len(evs)-1].Terminal {
 		t.Fatalf("job event stream ended without a terminal event: %+v", evs)
 	}
+	waitCounted(t, base, routeEvents, 1)
 
 	got := scrapeShape(t, base, "") + scrapeShape(t, base, "application/openmetrics-text")
 	if *update {
@@ -152,6 +154,128 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	}
 }
 
+// routeTotals scrapes /metrics and returns, by route, the sum of
+// hpfserve_requests_total over the codes and the latency histogram's
+// _count.
+func routeTotals(t *testing.T, base string) (requests, observed map[string]float64) {
+	t.Helper()
+	samples, err := checkScrape(string(mustReadAll(t, base+"/metrics")), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requests, observed = make(map[string]float64), make(map[string]float64)
+	for series, v := range samples {
+		if rest, ok := strings.CutPrefix(series, `hpfserve_requests_total{route="`); ok {
+			route, _, _ := strings.Cut(rest, `"`)
+			requests[route] += v
+		}
+		if rest, ok := strings.CutPrefix(series, `hpfserve_request_duration_seconds_count{route="`); ok {
+			route, _, _ := strings.Cut(rest, `"`)
+			observed[route] = v
+		}
+	}
+	return requests, observed
+}
+
+// waitCounted polls /metrics until route has counted n requests and
+// returns that scrape's routeTotals. A stream is counted when its
+// handler returns, which can be after the client has read the
+// terminal event.
+func waitCounted(t *testing.T, base, route string, n float64) (requests, observed map[string]float64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		requests, observed = routeTotals(t, base)
+		if requests[route] >= n {
+			return requests, observed
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("route %s counted %g requests, want %g", route, requests[route], n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// checkCountedOnce fails unless every route's request count is the
+// count of its latency histogram, and the request counts are want.
+func checkCountedOnce(t *testing.T, requests, observed map[string]float64, want map[string]float64) {
+	t.Helper()
+	for route, n := range observed {
+		if requests[route] != n {
+			t.Errorf("route %s: %g requests counted, %g latencies observed", route, requests[route], n)
+		}
+	}
+	for route, n := range requests {
+		if _, ok := observed[route]; !ok {
+			t.Errorf("route %s: %g requests counted and no latency histogram", route, n)
+		}
+	}
+	for route, n := range want {
+		if requests[route] != n {
+			t.Errorf("route %s: %g requests counted, want %g", route, requests[route], n)
+		}
+	}
+}
+
+// TestEveryRouteCountedOnce sends one request of each kind the job
+// routes answer, refusals and one full event stream included, a 405 on
+// a POST route and a 501 from a server with jobs off. Each request is
+// counted once and its latency observed once, under its own route.
+func TestEveryRouteCountedOnce(t *testing.T) {
+	_, base := newJobsServer(t, Config{}, jobs.Config{})
+	id := submitPredictJob(t, base, 2)
+	if evs := openSSE(t, base, id, 0).collectSSE(t); len(evs) == 0 || !evs[len(evs)-1].Terminal {
+		t.Fatalf("job event stream ended without a terminal event: %+v", evs)
+	}
+	for _, c := range []struct {
+		method, path, lastEventID string
+		want                      int
+	}{
+		{http.MethodGet, "/v1/jobs", "", http.StatusOK},
+		{http.MethodGet, "/v1/jobs/" + id, "", http.StatusOK},
+		{http.MethodGet, "/v1/jobs/no-such-job", "", http.StatusNotFound},
+		{http.MethodDelete, "/v1/jobs/" + id, "", http.StatusOK},
+		{http.MethodGet, "/v1/jobs/" + id + "/events", "-1", http.StatusBadRequest},
+		{http.MethodGet, "/v1/predict", "", http.StatusMethodNotAllowed},
+	} {
+		req, err := http.NewRequest(c.method, base+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.lastEventID != "" {
+			req.Header.Set("Last-Event-ID", c.lastEventID)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s %s: status %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+		}
+	}
+	requests, observed := waitCounted(t, base, routeEvents, 2)
+	checkCountedOnce(t, requests, observed, map[string]float64{routeJobs: 5, routeEvents: 2, routePredict: 1})
+
+	_, off := newTestServer(t, Config{})
+	if r := getJSON(t, off.URL+"/v1/jobs", nil); r.StatusCode != http.StatusNotImplemented {
+		t.Fatalf("GET /v1/jobs with jobs off: status %d, want 501", r.StatusCode)
+	}
+	requests, observed = routeTotals(t, off.URL)
+	checkCountedOnce(t, requests, observed, map[string]float64{routeJobs: 1})
+}
+
+// TestRecordRequestAllocs: after the first request of a route and
+// code, counting another allocates nothing.
+func TestRecordRequestAllocs(t *testing.T) {
+	m := newMetrics(nil)
+	m.recordRequest(routeJobs, http.StatusOK)
+	if n := testing.AllocsPerRun(100, func() { m.recordRequest(routeJobs, http.StatusOK) }); n != 0 {
+		t.Errorf("recordRequest allocates %v objects per request after the first, want 0", n)
+	}
+}
+
 // TestMetricsExpositionValues pins what the shape golden masks: every
 // value and exemplar, in both formats, for fixed counters. Each counter
 // is distinct and non-zero, so two swapped samples show; one count is
@@ -171,9 +295,7 @@ func TestMetricsExpositionValues(t *testing.T) {
 		{routeJobs, 429, 17},
 		{routeEvents, 200, 19},
 	} {
-		c := &atomic.Int64{}
-		c.Store(r.n)
-		m.requests[m.key(r.route, r.code)] = c
+		m.requests[reqKey{r.route, r.code}] = r.n
 	}
 	m.latency[routeJobs].observe(0.0004, "")
 	m.latency[routeJobs].observe(0.0007, "")
@@ -332,10 +454,16 @@ func checkScrape(text string, om bool, prev map[string]float64) (map[string]floa
 
 // TestMetricsScrapeUnderTraffic scrapes /metrics in both formats while
 // predict and batch requests run, some of them shed with 429 by a
-// one-slot gate, and checks every scrape with checkScrape.
+// one-slot gate, while a job is polled and its event stream opened and
+// closed, and checks every scrape with checkScrape. Once the traffic
+// ends, every request is counted once and its latency observed once.
 func TestMetricsScrapeUnderTraffic(t *testing.T) {
 	_, base := newJobsServer(t, Config{TraceAll: true, MaxConcurrent: 1, MaxQueueDepth: 1}, jobs.Config{})
 	predict := PredictRequest{Source: tinyProgram}
+	id := submitPredictJob(t, base, 2)
+	pollJob(t, base, id)
+	before, _ := routeTotals(t, base)
+	const rounds = 20
 	bodies := []struct {
 		route string
 		body  any
@@ -351,7 +479,7 @@ func TestMetricsScrapeUnderTraffic(t *testing.T) {
 			defer traffic.Done()
 			c := bodies[g%len(bodies)]
 			raw, _ := json.Marshal(c.body)
-			for i := 0; i < 20; i++ {
+			for i := 0; i < rounds; i++ {
 				resp, err := http.Post(base+"/v1/"+c.route, "application/json", strings.NewReader(string(raw)))
 				if err != nil {
 					t.Errorf("%s: %v", c.route, err)
@@ -365,6 +493,48 @@ func TestMetricsScrapeUnderTraffic(t *testing.T) {
 			}
 		}(g)
 	}
+	// One client polls the job; another opens its event stream, reads
+	// every other one to the terminal event and closes the rest after
+	// their first line.
+	traffic.Add(2)
+	go func() {
+		defer traffic.Done()
+		for i := 0; i < rounds; i++ {
+			resp, err := http.Get(base + "/v1/jobs/" + id)
+			if err != nil {
+				t.Errorf("poll: %v", err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("poll: status %d", resp.StatusCode)
+			}
+		}
+	}()
+	go func() {
+		defer traffic.Done()
+		for i := 0; i < rounds; i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			req, _ := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id+"/events", nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				cancel()
+				t.Errorf("stream: %v", err)
+				return
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("stream: status %d", resp.StatusCode)
+			}
+			if i%2 == 0 {
+				io.Copy(io.Discard, resp.Body)
+			} else {
+				bufio.NewReader(resp.Body).ReadString('\n')
+			}
+			cancel()
+			resp.Body.Close()
+		}
+	}()
 	for _, accept := range []string{"", "application/openmetrics-text"} {
 		scrapers.Add(1)
 		go func(accept string) {
@@ -401,4 +571,10 @@ func TestMetricsScrapeUnderTraffic(t *testing.T) {
 	traffic.Wait()
 	close(done)
 	scrapers.Wait()
+
+	requests, observed := waitCounted(t, base, routeEvents, before[routeEvents]+rounds)
+	checkCountedOnce(t, requests, observed, map[string]float64{
+		routePredict: 2 * rounds, routeBatch: 2 * rounds,
+		routeJobs: before[routeJobs] + rounds, routeEvents: before[routeEvents] + rounds,
+	})
 }

@@ -156,7 +156,7 @@ func New(cfg Config) *Server {
 	if cfg.SSEHeartbeat <= 0 {
 		cfg.SSEHeartbeat = 15 * time.Second
 	}
-	routes := []string{routePredict, routeMeasure, routeAutotune, routeAnalyze, routeBatch, routeJobs}
+	routes := []string{routePredict, routeMeasure, routeAutotune, routeAnalyze, routeBatch, routeJobs, routeEvents}
 	s := &Server{
 		cfg:  cfg,
 		eng:  eng,
@@ -170,13 +170,15 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/autotune", s.api(routeAutotune, s.handleAutotune))
 	s.mux.HandleFunc("/v1/analyze", s.api(routeAnalyze, s.handleAnalyze))
 	s.mux.HandleFunc("/v1/batch", s.api(routeBatch, s.handleBatch))
-	// Async job surfaces (jobs.go). Registered unconditionally so the
-	// routes answer with a typed error when OpenJobs was not called.
+	// Async job surfaces (jobs.go, events.go). Registered
+	// unconditionally so the routes answer with a typed error when
+	// OpenJobs was not called. Polls and streams are not worth spanning
+	// and take no worker slot, so they are served without api's gate.
 	s.mux.HandleFunc("POST /v1/jobs", s.api(routeJobs, s.handleJobSubmit))
-	s.mux.HandleFunc("GET /v1/jobs", s.handleJobList)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
+	s.mux.HandleFunc("GET /v1/jobs", s.serve(routeJobs, false, s.handleJobList))
+	s.mux.HandleFunc("GET /v1/jobs/{id}", s.serve(routeJobs, false, s.handleJobGet))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.serve(routeEvents, false, s.handleJobEvents))
+	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.serve(routeJobs, false, s.handleJobCancel))
 	if cfg.ExposeTraces {
 		s.mux.HandleFunc("/v1/traces", s.handleTraces)
 	}
@@ -222,19 +224,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // reqMeta is the per-request correlation state: the request ID (always
 // minted), the trace ID (from a client traceparent header or minted),
-// and the tracer when this request records spans.
+// the tracer and its root span when this request records spans, and
+// the time the request arrived.
 type reqMeta struct {
 	reqID   string
 	traceID string
 	tracer  *obs.Tracer // nil when the request is untraced
+	root    *obs.Span   // the tracer's root span; nil when untraced
 	inline  bool        // client asked for the tree in the response
+	start   time.Time
 }
 
 // newMeta mints the request's correlation IDs, honoring a well-formed
-// client traceparent, and decides whether to trace: the client opts in
-// with X-HPF-Trace: 1, or Config.TraceAll forces it.
-func (s *Server) newMeta(r *http.Request) reqMeta {
-	m := reqMeta{reqID: obs.NewSpanID()}
+// client traceparent, and echoes them as response headers, so no
+// response is anonymous. On a traced route it decides whether to
+// trace: the client opts in with X-HPF-Trace: 1, or Config.TraceAll
+// forces it.
+func (s *Server) newMeta(w http.ResponseWriter, r *http.Request, traced bool) reqMeta {
+	m := reqMeta{reqID: obs.NewSpanID(), start: time.Now()}
 	if tp := r.Header.Get("traceparent"); tp != "" {
 		if id, err := obs.ParseTraceparent(tp); err == nil {
 			m.traceID = id
@@ -243,8 +250,10 @@ func (s *Server) newMeta(r *http.Request) reqMeta {
 	if m.traceID == "" {
 		m.traceID = obs.NewTraceID()
 	}
+	w.Header().Set("X-HPF-Request-Id", m.reqID)
+	w.Header().Set("traceparent", obs.FormatTraceparent(m.traceID))
 	m.inline = r.Header.Get("X-HPF-Trace") == "1"
-	if m.inline || s.cfg.TraceAll {
+	if traced && (m.inline || s.cfg.TraceAll) {
 		m.tracer = obs.NewTracer(m.traceID)
 	}
 	return m
@@ -289,61 +298,67 @@ func (s *Server) fail(w http.ResponseWriter, route string, meta reqMeta, aerr *a
 	s.log(slog.LevelWarn, "request failed",
 		"route", route, "code", aerr.status, "stage", aerr.stage, "err", aerr.err.Error(),
 		"request_id", meta.reqID, "trace_id", meta.traceID)
-	writeJSON(w, aerr.status, ErrorResponse{
+	return writeJSON(w, aerr.status, ErrorResponse{
 		Error: aerr.err.Error(), Stage: aerr.stage,
 		RequestID: meta.reqID, TraceID: meta.traceID,
 		EstimatedCostUnits: aerr.estCost, CostLimitUnits: aerr.costLimit,
 	})
-	return aerr.status
 }
 
-// api wraps one POST handler with the serving-stack concerns: method
-// filtering, the admission gate's drain and worker-slot checks
-// (admission.go), the body-size cap, fault injection, panic recovery,
-// latency/metrics accounting and JSON rendering. Every non-2xx response
-// is written by fail.
-func (s *Server) api(route string, h func(ctx context.Context, body []byte) (any, *apiError)) http.HandlerFunc {
+// serve wraps the handler of one /v1 route with what every route
+// shares. It mints the correlation IDs and echoes them, opens the root
+// span when the route is traced and the request asks for it, and turns
+// a panic in h into the 500 that fail writes. Then, in one deferred
+// step, it records the trace, observes the latency and counts the
+// request under route with the status h returned, so a stream is
+// counted when it ends.
+func (s *Server) serve(route string, traced bool, h func(w http.ResponseWriter, r *http.Request, meta reqMeta) int) http.HandlerFunc {
+	latency, span := s.met.latency[route], "server."+route
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		code := http.StatusOK
-		// Correlation IDs are minted before any branch, and echoed both
-		// as headers and in every JSON body — including refusals — so no
-		// response is anonymous.
-		meta := s.newMeta(r)
-		w.Header().Set("X-HPF-Request-Id", meta.reqID)
-		w.Header().Set("traceparent", obs.FormatTraceparent(meta.traceID))
-
-		var root *obs.Span
+		meta := s.newMeta(w, r, traced)
 		if meta.tracer != nil {
-			root = meta.tracer.Root("server." + route)
+			meta.root = meta.tracer.Root(span)
 		}
+		var code int
 		defer func() {
-			elapsed := time.Since(start)
+			if rec := recover(); rec != nil {
+				s.met.panics.Add(1)
+				code = s.fail(w, route, meta, errf(http.StatusInternalServerError, "internal", "panic: %v", rec))
+			}
+			elapsed := time.Since(meta.start)
 			var exemplarID string
 			if meta.tracer != nil {
-				root.End()
+				meta.root.End()
 				exemplarID = meta.traceID
 				s.ring.Add(obs.TraceRecord{
 					TraceID: meta.traceID,
 					Route:   route,
 					Status:  code,
 					DurUS:   float64(elapsed) / float64(time.Microsecond),
-					Start:   start,
+					Start:   meta.start,
 					Tree:    meta.tracer.Tree(),
 				})
 			}
-			s.met.latency[route].observe(elapsed.Seconds(), exemplarID)
+			latency.observe(elapsed.Seconds(), exemplarID)
 			s.met.recordRequest(route, code)
 		}()
+		code = h(w, r, meta)
+	}
+}
 
+// api serves one POST route through serve, behind the gate the POST
+// routes own: the method check, the admission gate's drain and
+// worker-slot checks (admission.go), the body-size cap, fault
+// injection and JSON rendering. Every non-2xx response is written by
+// fail.
+func (s *Server) api(route string, h func(ctx context.Context, body []byte) (any, *apiError)) http.HandlerFunc {
+	return s.serve(route, true, func(w http.ResponseWriter, r *http.Request, meta reqMeta) int {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			code = s.fail(w, route, meta, errf(http.StatusMethodNotAllowed, "decode", "use POST"))
-			return
+			return s.fail(w, route, meta, errf(http.StatusMethodNotAllowed, "decode", "use POST"))
 		}
 		if aerr := s.enter(); aerr != nil {
-			code = s.fail(w, route, meta, aerr)
-			return
+			return s.fail(w, route, meta, aerr)
 		}
 		defer s.inflight.Done()
 		s.met.inflight.Add(1)
@@ -353,60 +368,44 @@ func (s *Server) api(route string, h func(ctx context.Context, body []byte) (any
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				code = s.fail(w, route, meta, errf(http.StatusRequestEntityTooLarge, "decode", "request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			} else {
-				code = s.fail(w, route, meta, &apiError{status: http.StatusBadRequest, stage: "decode", err: err})
+				return s.fail(w, route, meta, errf(http.StatusRequestEntityTooLarge, "decode", "request body exceeds %d bytes", s.cfg.MaxBodyBytes))
 			}
-			return
+			return s.fail(w, route, meta, &apiError{status: http.StatusBadRequest, stage: "decode", err: err})
 		}
 
 		if aerr := s.acquireSlot(r); aerr != nil {
-			code = s.fail(w, route, meta, aerr)
-			return
+			return s.fail(w, route, meta, aerr)
 		}
 		defer func() { <-s.sem }()
 
-		ctx := r.Context()
-		if root != nil {
-			ctx = obs.ContextWithSpan(ctx, root)
+		// Chaos hook: -chaos / HPFPERF_FAULTS can error, panic or delay
+		// any route here; the panic kind exercises serve's recover.
+		if ferr := faults.Fire(faults.ServerSite(route)); ferr != nil {
+			return s.fail(w, route, meta, &apiError{status: http.StatusInternalServerError, stage: "internal", err: ferr})
 		}
-		var resp any
-		var aerr *apiError
-		func() {
-			defer func() {
-				if rec := recover(); rec != nil {
-					s.met.panics.Add(1)
-					aerr = errf(http.StatusInternalServerError, "internal", "panic: %v", rec)
-				}
-			}()
-			// Chaos hook: -chaos / HPFPERF_FAULTS can error, panic or
-			// delay any route here; the panic kind exercises the recover
-			// above.
-			if ferr := faults.Fire(faults.ServerSite(route)); ferr != nil {
-				aerr = &apiError{status: http.StatusInternalServerError, stage: "internal", err: ferr}
-				return
-			}
-			resp, aerr = h(ctx, body)
-		}()
+		ctx := r.Context()
+		if meta.root != nil {
+			ctx = obs.ContextWithSpan(ctx, meta.root)
+		}
+		resp, aerr := h(ctx, body)
 		if aerr != nil {
-			code = s.fail(w, route, meta, aerr)
-			return
+			return s.fail(w, route, meta, aerr)
 		}
 		if m, isMeta := resp.(metaSetter); isMeta {
 			var tree *obs.Tree
 			if meta.tracer != nil && meta.inline {
 				// Close the root now so the inlined tree carries the final
-				// request duration (the deferred End keeps this first end).
-				root.End()
+				// request duration (serve's deferred End keeps this first end).
+				meta.root.End()
 				tree = meta.tracer.Tree()
 			}
 			m.setMeta(meta.reqID, meta.traceID, tree)
 		}
 		s.log(slog.LevelInfo, "request served",
-			"route", route, "code", code, "elapsed", time.Since(start).Round(time.Microsecond).String(),
+			"route", route, "code", http.StatusOK, "elapsed", time.Since(meta.start).Round(time.Microsecond).String(),
 			"request_id", meta.reqID, "trace_id", meta.traceID)
-		writeJSON(w, code, resp)
-	}
+		return writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // TracesHandler returns the GET /v1/traces handler for mounting on a
@@ -417,12 +416,9 @@ func (s *Server) TracesHandler() http.Handler { return http.HandlerFunc(s.handle
 // handleTraces serves the retained recent request traces, newest first.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	// Mint correlation IDs so even this endpoint's refusals are
-	// correlatable; the tracer is dropped — listing traces is not work
-	// worth spanning (and must not feed the ring it serves).
-	meta := s.newMeta(r)
-	meta.tracer = nil
-	w.Header().Set("X-HPF-Request-Id", meta.reqID)
-	w.Header().Set("traceparent", obs.FormatTraceparent(meta.traceID))
+	// correlatable; listing traces is not work worth spanning (and must
+	// not feed the ring it serves).
+	meta := s.newMeta(w, r, false)
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		s.fail(w, "traces", meta, errf(http.StatusMethodNotAllowed, "decode", "use GET"))
