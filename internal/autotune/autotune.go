@@ -58,8 +58,6 @@ type Options struct {
 	Procs int
 	// NoCyclic restricts the search to BLOCK/* formats.
 	NoCyclic bool
-	// MaxRank bounds the processor arrangement rank (default 2).
-	MaxRank int
 	// Interp configures the interpretation engine.
 	Interp core.Options
 	// Engine evaluates candidates (worker pool + compile/prediction
@@ -94,9 +92,6 @@ func SearchContext(ctx context.Context, src string, opts Options) ([]Candidate, 
 	if opts.Procs <= 0 {
 		return nil, fmt.Errorf("autotune: Procs must be positive")
 	}
-	if opts.MaxRank <= 0 {
-		opts.MaxRank = 2
-	}
 	shape, err := analyzeShape(src)
 	if err != nil {
 		return nil, err
@@ -106,7 +101,7 @@ func SearchContext(ctx context.Context, src string, opts Options) ([]Candidate, 
 	}
 
 	var out []Candidate
-	for _, grid := range gridShapes(opts.Procs, opts.MaxRank) {
+	for _, grid := range gridShapes(opts.Procs, 2) {
 		for _, formats := range formatCombos(shape.maxTargetRank(), len(grid), opts.NoCyclic) {
 			cand, skip := buildCandidate(src, shape, grid, formats)
 			if skip {
@@ -129,8 +124,10 @@ func SearchContext(ctx context.Context, src string, opts Options) ([]Candidate, 
 		io.WriteString(h, src)
 		ck = &sweep.Checkpoint{
 			Path: opts.Checkpoint,
-			Key: fmt.Sprintf("autotune|procs=%d|nocyclic=%t|rank=%d|src=%x",
-				opts.Procs, opts.NoCyclic, opts.MaxRank, h.Sum64()),
+			// The key keeps rank=2, the only arrangement rank searched,
+			// so existing checkpoints still resume.
+			Key: fmt.Sprintf("autotune|procs=%d|nocyclic=%t|rank=2|src=%x",
+				opts.Procs, opts.NoCyclic, h.Sum64()),
 			FlushEvery: opts.CheckpointFlushEvery,
 			OnFlush:    opts.CheckpointOnFlush,
 		}

@@ -136,7 +136,10 @@ END`
 			mcfg := ipsc.DefaultConfig(prog.Info.Grid.Size())
 			mcfg.PerturbAmp = 0
 			mcfg.TimerResUS = 0
-			m, _ := ipsc.New(mcfg)
+			m, err := ipsc.New(mcfg)
+			if err != nil {
+				return 0, err
+			}
 			res, err := exec.Run(prog, m, exec.Options{})
 			if err != nil {
 				return 0, err

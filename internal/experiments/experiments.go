@@ -55,9 +55,6 @@ type Config struct {
 	// engine (sweep.Default()), whose cache lets later figures reuse
 	// programs compiled by earlier ones.
 	Engine *sweep.Engine
-	// Workers bounds pool concurrency when Engine is nil (<= 0 uses
-	// GOMAXPROCS); the derived engine still shares the default cache.
-	Workers int
 	// Ctx, when non-nil, flows into every sweep point: it carries
 	// cancellation and, when it holds an obs span, traces each
 	// artifact's compiles and interpretations (hpfexp -trace-out).
@@ -98,10 +95,6 @@ func (c Config) ctx() context.Context {
 func (c Config) engine() *sweep.Engine {
 	if c.Engine != nil {
 		return c.Engine
-	}
-	if c.Workers > 0 {
-		d := sweep.Default()
-		return sweep.New(sweep.Options{Workers: c.Workers, Cache: d.Cache(), Stats: d.Stats()})
 	}
 	return sweep.Default()
 }
