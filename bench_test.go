@@ -108,7 +108,7 @@ func sanitize(s string) string {
 // BenchmarkFigure3 renders the Laplace decomposition pictures.
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure3(); err != nil {
+		if _, err := experiments.Figure3(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
 	}

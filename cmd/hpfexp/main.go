@@ -98,7 +98,7 @@ func main() {
 	}
 
 	if *all || *fig3 {
-		out, err := experiments.Figure3()
+		out, err := experiments.Figure3(cfg)
 		check(err)
 		fmt.Println(out)
 	}

@@ -96,7 +96,7 @@ func TestGoldenTable2Quick(t *testing.T) {
 
 // TestGoldenFigure3 reproduces `hpfexp -fig3 -quiet`.
 func TestGoldenFigure3(t *testing.T) {
-	out, err := experiments.Figure3()
+	out, err := experiments.Figure3(experiments.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,7 +192,7 @@ func TraceProgram(p *hir.Program, pinned map[string]sem.Value) *Trace {
 		slot:   make(map[string]int),
 		budget: traceBudget,
 	}
-	for _, n := range assignedNames(p.Body) {
+	for _, n := range hir.AssignedScalars(p.Body) {
 		t.slot[n] = len(t.slot)
 	}
 	for k := range pinned {
@@ -344,45 +344,6 @@ func exprReadsElem(e hir.Expr) bool {
 	return false
 }
 
-// assignedNames lists every scalar assigned (or otherwise clobbered)
-// anywhere in a statement subtree.
-func assignedNames(ss []hir.Stmt) []string {
-	seen := make(map[string]bool)
-	var out []string
-	add := func(n string) {
-		if n != "" && !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	var scan func(ss []hir.Stmt)
-	scan = func(ss []hir.Stmt) {
-		for _, s := range ss {
-			switch x := s.(type) {
-			case *hir.Assign:
-				if lv, ok := x.Lhs.(*hir.ScalarLV); ok {
-					add(lv.Name)
-				}
-			case *hir.Loop:
-				add(x.Var)
-				scan(x.Body)
-			case *hir.While:
-				scan(x.Body)
-			case *hir.If:
-				scan(x.Then)
-				scan(x.Else)
-			case *hir.Reduce:
-				add(x.Dst)
-				add(x.LocDst)
-			case *hir.FetchElem:
-				add(x.Dst)
-			}
-		}
-	}
-	scan(ss)
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Transfer functions
 
@@ -455,7 +416,7 @@ func (t *tracer) fixpointBody(body []hir.Stmt, entry state) state {
 		}
 		if i >= maxFixpointIters || t.budget <= 0 {
 			t.release(head)
-			for _, n := range assignedNames(body) {
+			for _, n := range hir.AssignedScalars(body) {
 				t.kill(n, 0, "assigned in a loop whose analysis did not converge", out)
 			}
 			return out
@@ -482,7 +443,7 @@ func (t *tracer) loop(x *hir.Loop, s state) state {
 	case ok1 && ok2 && ok3 && sv.AsInt() != 0:
 		lt.Resolved = true
 		lt.Lo, lt.Hi, lt.Step = int(lv.AsInt()), int(hv.AsInt()), int(sv.AsInt())
-		lt.Trips = countTrips(lt.Lo, lt.Hi, lt.Step)
+		lt.Trips = hir.TripCount(lt.Lo, lt.Hi, lt.Step)
 	case ok1 && ok2 && ok3:
 		lt.Blockers = []Blocker{{Name: x.Var, Line: x.SrcLine, Reason: "zero loop step"}}
 	default:
@@ -550,7 +511,7 @@ func (t *tracer) while(x *hir.While, s state) state {
 }
 
 func (t *tracer) cond(x *hir.If, s state) state {
-	if !exprIsElemental(x.Cond) {
+	if !hir.Elemental(x.Cond) {
 		ct := &CondTrace{Line: x.SrcLine, HasThen: len(x.Then) > 0, HasElse: len(x.Else) > 0}
 		if v, ok := t.eval(x.Cond, s); ok {
 			ct.Resolved, ct.Value = true, v.B
@@ -586,41 +547,4 @@ func (t *tracer) pinnedDerived(e hir.Expr, s state) bool {
 		}
 	}
 	return false
-}
-
-// exprIsElemental mirrors the SAAG builder's notion of a data-dependent
-// (per-element) expression: it reads array elements or per-processor
-// private scalars, so it has no single replicated value to trace.
-func exprIsElemental(e hir.Expr) bool {
-	switch x := e.(type) {
-	case *hir.Elem:
-		return true
-	case *hir.Ref:
-		return x.Kind == hir.Private
-	case *hir.Bin:
-		return exprIsElemental(x.X) || exprIsElemental(x.Y)
-	case *hir.Un:
-		return exprIsElemental(x.X)
-	case *hir.Intr:
-		for _, a := range x.Args {
-			if exprIsElemental(a) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// countTrips mirrors the interpretation engine's trip-count rule.
-func countTrips(lo, hi, step int) int {
-	if step > 0 {
-		if hi < lo {
-			return 0
-		}
-		return (hi-lo)/step + 1
-	}
-	if hi > lo {
-		return 0
-	}
-	return (lo-hi)/(-step) + 1
 }

@@ -61,12 +61,6 @@ func compileNoOpt(ctx context.Context, src string, opts Options) (*hir.Program, 
 	return LowerWith(info, opts)
 }
 
-// Lower translates an analyzed program into the SPMD node program with
-// default options.
-func Lower(info *sem.Info) (*hir.Program, error) {
-	return LowerWith(info, Options{})
-}
-
 // LowerWith translates an analyzed program with explicit options.
 func LowerWith(info *sem.Info, opts Options) (*hir.Program, error) {
 	lw := &lowerer{

@@ -187,7 +187,7 @@ func (g *SAAG) buildStmt(s hir.Stmt) *AAU {
 		return a
 	case *hir.If:
 		kind := Condt
-		if exprIsElemental(x.Cond) {
+		if hir.Elemental(x.Cond) {
 			kind = CondtD
 		}
 		a := &AAU{ID: g.id(), Kind: kind, Label: "IF", Line: x.SrcLine, Stmt: s}
@@ -223,30 +223,6 @@ func (g *SAAG) commAAU(s hir.Stmt, kind CommKind, array string, dim, line int, l
 	a.CommRec = rec
 	g.Table = append(g.Table, rec)
 	return a
-}
-
-// exprIsElemental reports whether a condition depends on per-element or
-// per-processor data (array elements or private scalars), making the
-// conditional a data-dependent CondtD AAU rather than replicated control
-// flow.
-func exprIsElemental(e hir.Expr) bool {
-	switch x := e.(type) {
-	case *hir.Elem:
-		return true
-	case *hir.Ref:
-		return x.Kind == hir.Private
-	case *hir.Bin:
-		return exprIsElemental(x.X) || exprIsElemental(x.Y)
-	case *hir.Un:
-		return exprIsElemental(x.X)
-	case *hir.Intr:
-		for _, a := range x.Args {
-			if exprIsElemental(a) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // SubgraphMetrics returns the cumulative metrics of the sub-AAG rooted at

@@ -2,11 +2,12 @@
 // compact prediction IR"). The tree-walking interpreter re-dispatches on
 // hir.Stmt types at every AAU for every sweep point; this file compiles
 // the SAAG once per (program, machine, static options) into a tree of
-// cost thunks ("cnodes") whose statically determinable inputs — op
-// costs, loop triplets without scalar references, communication volumes,
-// partition maps, kill sets — are resolved at compile time. A sweep then
-// evaluates pre-compiled closures against a tiny per-point state instead
-// of re-walking HIR.
+// cost thunks ("cnodes": one closure per AAU, built by one compile
+// function per AAU kind). What no critical value changes — op costs,
+// fixed-offset shift volumes, partition maps, kill sets — is resolved
+// at compile time. What the scalar environment can change (triplets,
+// conditions, assigned values, CSHIFT/EOSHIFT amounts) is evaluated per
+// point against a tiny per-point state, without a re-walk of the HIR.
 //
 // Evaluation is bit-identical to the tree walker by construction: every
 // floating-point accumulation the walker performs (per-AAU add order,
@@ -23,10 +24,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
-	"strings"
-	"sync"
 
 	"hpfperf/internal/analysis"
 	"hpfperf/internal/dist"
@@ -38,18 +35,13 @@ import (
 	"hpfperf/internal/sysmodel"
 )
 
-// traceCap bounds the memoized definition-tracing runs kept per compiled
-// program.
-const traceCap = 64
-
 // Compiled is the closure-compiled form of one (program, machine, static
-// options) triple. It is immutable after compilation apart from its
-// internal tracing memo and safe for concurrent Evaluate/EvaluateWith.
-// Evaluations with no pinned values read the definition trace of the
-// analysis unit the form was compiled from, so the program's unpinned
-// trace is computed once, by whoever built the unit; the memo holds the
-// traces of pinned value sets (and the unpinned trace of a form built
-// without a unit).
+// options) triple. It is immutable after compilation and safe for
+// concurrent Evaluate/EvaluateWith. Evaluations with no pinned values
+// read the definition trace of the analysis unit the form was compiled
+// from, so the program's unpinned trace is computed once, by whoever
+// built the unit; an evaluation under pinned values traces the program
+// under them.
 type Compiled struct {
 	prog  *hir.Program
 	unit  *analysis.Unit // unpinned analysis; nil for Interpreter.Interpret
@@ -61,9 +53,6 @@ type Compiled struct {
 	tmpl  *SAAG // metric-free template, cloned per evaluation
 	maxID int
 	tops  []cnode
-
-	mu     sync.Mutex
-	traces map[string]*analysis.Trace
 }
 
 // cnode is one compiled AAU: a cost thunk plus the identifiers needed to
@@ -122,7 +111,7 @@ func (c *Compiled) Evaluate(ctx context.Context) (*Report, error) {
 // values and trip counts instead of the ones bound at compile time, so
 // one compiled form serves every point of a parameter sweep. Each call
 // runs every cost thunk. With no values it reads the unit's unpinned
-// trace; a pinned value set is traced once and memoized per set.
+// trace; under pinned values it traces the program under them.
 func (c *Compiled) EvaluateWith(ctx context.Context, values map[string]sem.Value, trips map[int]int) (*Report, error) {
 	return c.evaluate(ctx, values, trips)
 }
@@ -137,19 +126,18 @@ func (c *Compiled) Program() string { return c.prog.Name }
 // Compilation
 
 // compile lowers the interpreter's SAAG. u is the program's unpinned
-// analysis unit, or nil to trace on first use.
+// analysis unit, or nil to trace on each evaluation.
 func compile(it *Interpreter, u *analysis.Unit) *Compiled {
 	it.costs = make(map[hir.Stmt]costParts)
 	it.prepass(it.prog.Body, 0)
 	c := &Compiled{
-		prog:   it.prog,
-		unit:   u,
-		mach:   it.mach,
-		lib:    it.lib,
-		opts:   it.opts,
-		costs:  it.costs,
-		tmpl:   BuildSAAG(it.prog),
-		traces: make(map[string]*analysis.Trace),
+		prog:  it.prog,
+		unit:  u,
+		mach:  it.mach,
+		lib:   it.lib,
+		opts:  it.opts,
+		costs: it.costs,
+		tmpl:  BuildSAAG(it.prog),
 	}
 	c.tmpl.Walk(func(a *AAU) {
 		if a.ID > c.maxID {
@@ -208,24 +196,10 @@ func (c *Compiled) compileSeq(a *AAU) cnode {
 		lhs = lv.Name
 	}
 	rhs := x.Rhs
-	// A right-hand side without scalar references evaluates identically
-	// in every environment; resolve it once.
-	var staticVal sem.Value
-	staticKnown := false
-	static := lhs != "" && len(hir.ScalarRefs(rhs)) == 0
-	if static {
-		staticVal, staticKnown = evalScalar(rhs, nil)
-	}
 	id, line := a.ID, a.Line
 	return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
 		if lhs != "" && !st.pinned[lhs] {
-			if static {
-				if staticKnown {
-					st.env[lhs] = staticVal
-				} else {
-					delete(st.env, lhs)
-				}
-			} else if v, ok := evalScalar(rhs, st.env); ok {
+			if v, ok := evalScalar(rhs, st.env); ok {
 				st.env[lhs] = v
 			} else {
 				delete(st.env, lhs)
@@ -239,7 +213,7 @@ func (c *Compiled) compileWhile(a *AAU) cnode {
 	w := a.Stmt.(*hir.While)
 	condParts := c.costs[a.Stmt]
 	children := c.compileAAUs(a.Children)
-	kills := killSet(w.Body)
+	kills := hir.AssignedScalars(w.Body)
 	id, line := a.ID, a.Line
 	return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
 		trips, ok := st.trips[line]
@@ -256,7 +230,7 @@ func (c *Compiled) compileWhile(a *AAU) cnode {
 		if err != nil {
 			return Metrics{}, err
 		}
-		st.kill(kills)
+		st.env.kill(kills, st.pinned)
 		self.Accumulate(body)
 		return self, nil
 	}}
@@ -266,7 +240,7 @@ func (c *Compiled) compileLoop(a *AAU) cnode {
 	x := a.Stmt.(*hir.Loop)
 	bound := c.costs[a.Stmt]
 	children := c.compileAAUs(a.Children)
-	kills := killSet(x.Body)
+	kills := hir.AssignedScalars(x.Body)
 	P := c.mach.Node.P
 	loopOvhdUS := P.CyclesToUS(P.LoopOverheadCycles)
 	load := c.opts.LoadModel
@@ -274,23 +248,9 @@ func (c *Compiled) compileLoop(a *AAU) cnode {
 	if x.Par != nil {
 		parMap = c.prog.Info.ArrayMap(x.Par.Array)
 	}
-	// Triplets without scalar references resolve identically in every
-	// environment; bind them at compile time.
-	static := len(hir.ScalarRefs(x.Lo))+len(hir.ScalarRefs(x.Hi))+len(hir.ScalarRefs(x.Step)) == 0
-	var sLo, sHi, sStep int
-	var sResolved bool
-	if static {
-		sLo, sHi, sStep, sResolved = resolveTriplet(x, nil)
-	}
 	id, line := a.ID, a.Line
 	return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
-		var lo, hi, step int
-		var resolved bool
-		if static {
-			lo, hi, step, resolved = sLo, sHi, sStep, sResolved
-		} else {
-			lo, hi, step, resolved = resolveTriplet(x, st.env)
-		}
+		lo, hi, step, resolved := resolveTriplet(x, st.env)
 		if !resolved {
 			if lt := st.trace.Loops[x]; lt != nil && lt.Resolved {
 				lo, hi, step, resolved = lt.Lo, lt.Hi, lt.Step, true
@@ -307,7 +267,7 @@ func (c *Compiled) compileLoop(a *AAU) cnode {
 				return Metrics{}, loopBoundsErr(st.trace, line, x, st.env)
 			}
 		} else {
-			localTrips = float64(countTrips(lo, hi, step))
+			localTrips = float64(hir.TripCount(lo, hi, step))
 			if x.Par != nil {
 				localTrips = partitionTrips(parMap, x.Par, load, lo, hi, step)
 			}
@@ -323,7 +283,7 @@ func (c *Compiled) compileLoop(a *AAU) cnode {
 		if err != nil {
 			return Metrics{}, err
 		}
-		st.kill(kills)
+		st.env.kill(kills, st.pinned)
 		delete(st.env, x.Var)
 		self.Accumulate(body)
 		return self, nil
@@ -337,18 +297,12 @@ func (c *Compiled) compileCondt(a *AAU) cnode {
 	base := Metrics{CompUS: parts.compUS, OvhdUS: parts.ovhdUS + P.CyclesToUS(P.BranchCycles), Execs: 1}
 	then := c.compileAAUs(a.Children[:a.ElseStart])
 	els := c.compileAAUs(a.Children[a.ElseStart:])
-	killsThen := killSet(x.Then)
-	killsElse := killSet(x.Else)
+	killsThen := hir.AssignedScalars(x.Then)
+	killsElse := hir.AssignedScalars(x.Else)
 	isD := a.Kind == CondtD
 	d := c.opts.MaskDensity
 	bp := c.opts.BranchProb
 	cond := x.Cond
-	static := len(hir.ScalarRefs(cond)) == 0
-	var sVal sem.Value
-	sKnown := false
-	if static {
-		sVal, sKnown = evalScalar(cond, nil)
-	}
 	warn := fmt.Sprintf("line %d: IF condition depends on run-time data; weighting branches %.2f/%.2f", a.Line, bp, 1-bp)
 	id, line := a.ID, a.Line
 	return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
@@ -362,17 +316,13 @@ func (c *Compiled) compileCondt(a *AAU) cnode {
 			if err != nil {
 				return Metrics{}, err
 			}
-			st.kill(killsThen)
-			st.kill(killsElse)
+			st.env.kill(killsThen, st.pinned)
+			st.env.kill(killsElse, st.pinned)
 			self.Accumulate(tm)
 			self.Accumulate(em)
 			return self, nil
 		}
-		v, ok := sVal, sKnown
-		if !static {
-			v, ok = evalScalar(cond, st.env)
-		}
-		if ok {
+		if v, ok := evalScalar(cond, st.env); ok {
 			branch := then
 			if !v.B {
 				branch = els
@@ -393,8 +343,8 @@ func (c *Compiled) compileCondt(a *AAU) cnode {
 		if err != nil {
 			return Metrics{}, err
 		}
-		st.kill(killsThen)
-		st.kill(killsElse)
+		st.env.kill(killsThen, st.pinned)
+		st.env.kill(killsElse, st.pinned)
 		self.Accumulate(tm)
 		self.Accumulate(em)
 		return self, nil
@@ -455,35 +405,7 @@ func (c *Compiled) compileComm(a *AAU) cnode {
 		}
 		compUS := c.mach.Node.P.CyclesToUS(float64(local) * (M.LoadCycles + M.StoreCycles + 2))
 		distributed := sym.Map != nil && !sym.Map.Replicated && dim < len(sym.Map.Dims) && sym.Map.Dims[dim].NProc > 1
-		elemBytes := sym.Type.Bytes()
-		symMap := sym.Map
-		lib := c.lib
 		unresolvedWarn := fmt.Sprintf("line %d: shift amount unresolved; assuming 1", line)
-		volFor := func(shift int) (bytes, commUS float64) {
-			if !distributed {
-				return 0, 0
-			}
-			vol := stripBytesMax(symMap, elemBytes, dim, shift)
-			return float64(vol), evalPW(simple, lib.Shift, vol)
-		}
-		if len(hir.ScalarRefs(shiftE)) == 0 {
-			// Shift amount is environment-independent: bind it now.
-			shift := 1
-			known := true
-			if v, ok := evalScalar(shiftE, nil); ok {
-				shift = int(v.AsInt())
-			} else {
-				known = false
-			}
-			bytes, commUS := volFor(shift)
-			return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
-				if !known {
-					st.warnf(unresolvedWarn)
-				}
-				st.comm(recIdx, bytes, commUS, mult)
-				return st.add(id, line, mult, Metrics{CompUS: compUS, CommUS: commUS, Execs: 1}), nil
-			}}
-		}
 		return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
 			shift := 1
 			if v, ok := evalScalar(shiftE, st.env); ok {
@@ -491,7 +413,11 @@ func (c *Compiled) compileComm(a *AAU) cnode {
 			} else {
 				st.warnf(unresolvedWarn)
 			}
-			bytes, commUS := volFor(shift)
+			var bytes, commUS float64
+			if distributed {
+				vol := stripBytesMax(sym.Map, sym.Type.Bytes(), dim, shift)
+				bytes, commUS = float64(vol), evalPW(simple, c.lib.Shift, vol)
+			}
 			st.comm(recIdx, bytes, commUS, mult)
 			return st.add(id, line, mult, Metrics{CompUS: compUS, CommUS: commUS, Execs: 1}), nil
 		}}
@@ -613,27 +539,13 @@ func (c *Compiled) instantiate() (*SAAG, []*AAU, []*CommRec) {
 }
 
 // Trace returns the definition trace an evaluation under the pinned
-// values uses: the unit's trace when there are none, otherwise a traced
-// result memoized per value set.
+// values uses: the unit's trace when there are none, otherwise the
+// program traced under them.
 func (c *Compiled) Trace(values map[string]sem.Value) *analysis.Trace {
 	if len(values) == 0 && c.unit != nil {
 		return c.unit.Trace
 	}
-	key := valuesFP(values)
-	c.mu.Lock()
-	if t, ok := c.traces[key]; ok {
-		c.mu.Unlock()
-		return t
-	}
-	c.mu.Unlock()
-	t := analysis.TraceProgram(c.prog, values)
-	c.mu.Lock()
-	if len(c.traces) >= traceCap {
-		c.traces = make(map[string]*analysis.Trace)
-	}
-	c.traces[key] = t
-	c.mu.Unlock()
-	return t
+	return analysis.TraceProgram(c.prog, values)
 }
 
 // run evaluates sibling AAUs, mirroring interpAAUs: per-AAU stride
@@ -712,79 +624,4 @@ func (st *evalState) comm(recIdx int, bytes, costUS, mult float64) {
 
 func (st *evalState) warnf(text string) {
 	st.warnings = append(st.warnings, text)
-}
-
-// kill is the compiled counterpart of Interpreter.killAssigned: remove
-// every non-pinned name of a precomputed kill set.
-func (st *evalState) kill(names []string) {
-	for _, n := range names {
-		if !st.pinned[n] {
-			delete(st.env, n)
-		}
-	}
-}
-
-// valKey canonicalizes a sem.Value for fingerprinting (bit-exact on
-// reals).
-func valKey(v sem.Value) string {
-	return fmt.Sprintf("%d:%d:%x:%t", v.Type, v.I, math.Float64bits(v.R), v.B)
-}
-
-// valuesFP fingerprints a whole pinned-value set (the tracing memo key).
-func valuesFP(values map[string]sem.Value) string {
-	if len(values) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(values))
-	for k := range values {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		b.WriteString(n)
-		b.WriteByte('=')
-		b.WriteString(valKey(values[n]))
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
-// killSet lists, in deterministic order, every scalar name the
-// tree-walker's killAssigned would delete for this subtree.
-func killSet(ss []hir.Stmt) []string {
-	seen := make(map[string]bool)
-	var out []string
-	add := func(n string) {
-		if n != "" && !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	var scan func(ss []hir.Stmt)
-	scan = func(ss []hir.Stmt) {
-		for _, s := range ss {
-			switch x := s.(type) {
-			case *hir.Assign:
-				if lv, ok := x.Lhs.(*hir.ScalarLV); ok {
-					add(lv.Name)
-				}
-			case *hir.Loop:
-				add(x.Var)
-				scan(x.Body)
-			case *hir.While:
-				scan(x.Body)
-			case *hir.If:
-				scan(x.Then)
-				scan(x.Else)
-			case *hir.Reduce:
-				add(x.Dst)
-				add(x.LocDst)
-			case *hir.FetchElem:
-				add(x.Dst)
-			}
-		}
-	}
-	scan(ss)
-	return out
 }

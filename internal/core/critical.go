@@ -27,7 +27,7 @@ type CriticalVariable struct {
 func CriticalVariables(p *hir.Program) []CriticalVariable {
 	byName := make(map[string]*CriticalVariable)
 	record := func(e hir.Expr, line int) {
-		for _, name := range exprVars(e) {
+		for _, name := range hir.ScalarRefs(e) {
 			if name == "" || name[0] == '$' {
 				continue // compiler temporaries are internal
 			}
@@ -57,7 +57,7 @@ func CriticalVariables(p *hir.Program) []CriticalVariable {
 			case *hir.If:
 				// Only replicated scalar conditions are critical; masked
 				// element conditionals are data parallel, not control flow.
-				if !exprIsElemental(x.Cond) {
+				if !hir.Elemental(x.Cond) {
 					record(x.Cond, x.SrcLine)
 				}
 				walk(x.Then)

@@ -22,41 +22,14 @@ func evalScalar(e hir.Expr, env absEnv) (sem.Value, bool) {
 	})
 }
 
-// killAssigned removes from env every scalar assigned anywhere in the
-// statement subtree (used after interpreting loop bodies once: values
-// written inside a loop are iteration-dependent).
-func killAssigned(ss []hir.Stmt, env absEnv) {
-	var scan func(ss []hir.Stmt)
-	scan = func(ss []hir.Stmt) {
-		for _, s := range ss {
-			switch x := s.(type) {
-			case *hir.Assign:
-				if lv, ok := x.Lhs.(*hir.ScalarLV); ok {
-					delete(env, lv.Name)
-				}
-			case *hir.Loop:
-				delete(env, x.Var)
-				scan(x.Body)
-			case *hir.While:
-				scan(x.Body)
-			case *hir.If:
-				scan(x.Then)
-				scan(x.Else)
-			case *hir.Reduce:
-				delete(env, x.Dst)
-				if x.LocDst != "" {
-					delete(env, x.LocDst)
-				}
-			case *hir.FetchElem:
-				delete(env, x.Dst)
-			}
+// kill removes from env every name of a kill set (the
+// hir.AssignedScalars of a loop body or branch) that is not pinned:
+// traced values written there are iteration- or path-dependent, while
+// user-specified critical values are never invalidated.
+func (env absEnv) kill(names []string, pinned map[string]bool) {
+	for _, n := range names {
+		if !pinned[n] {
+			delete(env, n)
 		}
 	}
-	scan(ss)
-}
-
-// exprVars lists replicated scalar names referenced by an expression
-// (for critical-variable diagnostics).
-func exprVars(e hir.Expr) []string {
-	return hir.ScalarRefs(e)
 }

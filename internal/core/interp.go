@@ -563,7 +563,7 @@ func (it *Interpreter) interpIter(a *AAU, env absEnv, mult float64) (Metrics, er
 			return Metrics{}, loopBoundsErr(it.trace, a.Line, x, env)
 		}
 	} else {
-		trips = float64(countTrips(lo, hi, step))
+		trips = float64(hir.TripCount(lo, hi, step))
 		localTrips = trips
 		if x.Par != nil {
 			localTrips = partitionTrips(it.prog.Info.ArrayMap(x.Par.Array), x.Par, it.opts.LoadModel, lo, hi, step)
@@ -611,32 +611,19 @@ func resolveTriplet(x *hir.Loop, env absEnv) (lo, hi, step int, ok bool) {
 	return int(lv.AsInt()), int(hv.AsInt()), step, true
 }
 
-func countTrips(lo, hi, step int) int {
-	if step > 0 {
-		if hi < lo {
-			return 0
-		}
-		return (hi-lo)/step + 1
-	}
-	if hi > lo {
-		return 0
-	}
-	return (lo-hi)/(-step) + 1
-}
-
 // partitionTrips returns the per-processor iteration share of a
 // partitioned loop under the configured load model.
 func partitionTrips(m *dist.ArrayMap, par *hir.ParSpec, load LoadModel, lo, hi, step int) float64 {
 	if m == nil || m.Replicated {
-		return float64(countTrips(lo, hi, step))
+		return float64(hir.TripCount(lo, hi, step))
 	}
 	dd := m.Dims[par.Dim]
 	if dd.Kind == dist.Collapsed || dd.NProc <= 1 {
-		return float64(countTrips(lo, hi, step))
+		return float64(hir.TripCount(lo, hi, step))
 	}
 	glo, ghi := lo+par.Offset, hi+par.Offset
 	if load == Average {
-		return float64(countTrips(lo, hi, step)) / float64(dd.NProc)
+		return float64(hir.TripCount(lo, hi, step)) / float64(dd.NProc)
 	}
 	return float64(dd.MaxLoopCount(glo, ghi, step))
 }
@@ -664,7 +651,7 @@ func criticalVars(x *hir.Loop, env absEnv) []string {
 	seen := make(map[string]bool)
 	var out []string
 	for _, e := range []hir.Expr{x.Lo, x.Hi, x.Step} {
-		for _, v := range exprVars(e) {
+		for _, v := range hir.ScalarRefs(e) {
 			if _, ok := env[v]; !ok && !seen[v] {
 				seen[v] = true
 				out = append(out, v)
@@ -751,20 +738,7 @@ func evalPW(simple bool, p ipsc.Piecewise, n int) float64 {
 // killAssigned invalidates traced values assigned in a subtree, keeping
 // user-pinned values intact.
 func (it *Interpreter) killAssigned(ss []hir.Stmt, env absEnv) {
-	if len(it.pinned) == 0 {
-		killAssigned(ss, env)
-		return
-	}
-	saved := make(map[string]sem.Value)
-	for k := range it.pinned {
-		if v, ok := env[k]; ok {
-			saved[k] = v
-		}
-	}
-	killAssigned(ss, env)
-	for k, v := range saved {
-		env[k] = v
-	}
+	env.kill(hir.AssignedScalars(ss), it.pinned)
 }
 
 // stripBytesMax returns the worst per-node halo volume of a shift.

@@ -337,10 +337,11 @@ func RenderTable2(rows []AccuracyRow) string {
 // Figure 3 — Laplace solver data distributions
 
 // Figure3 renders the three template distributions of the Laplace solver
-// on 4 processors as ownership pictures.
-func Figure3() (string, error) {
+// on 4 processors as ownership pictures, compiling on cfg's engine under
+// cfg's context.
+func Figure3(cfg Config) (string, error) {
 	out := "Figure 3: Laplace Solver - Data Distributions (4 processors)\n\n"
-	eng := sweep.Default()
+	eng := cfg.engine()
 	for _, cse := range []struct {
 		name string
 		prog *suite.Program
@@ -349,7 +350,7 @@ func Figure3() (string, error) {
 		{"(Block,*)", suite.LaplaceBX()},
 		{"(*,Block)", suite.LaplaceXB()},
 	} {
-		prog, err := eng.Compile(cse.prog.Source(16, 4), compiler.Options{})
+		prog, err := eng.CompileContext(cfg.ctx(), cse.prog.Source(16, 4), compiler.Options{})
 		if err != nil {
 			return "", err
 		}
@@ -479,7 +480,7 @@ func Figure7(cfg Config) ([]report.PhaseBreakdown, error) {
 		size = 64
 	}
 	src := p.Source(size, 4)
-	rep, err := cfg.engine().Interpret(src, compiler.Options{}, core.DefaultOptions())
+	rep, err := cfg.engine().InterpretContext(cfg.ctx(), src, compiler.Options{}, core.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

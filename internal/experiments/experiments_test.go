@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -184,7 +186,7 @@ func TestSweepCacheReuseAcrossFigures(t *testing.T) {
 }
 
 func TestFigure3(t *testing.T) {
-	out, err := Figure3()
+	out, err := Figure3(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +198,20 @@ func TestFigure3(t *testing.T) {
 	// The (Block,Block) picture must show 4 distinct owners.
 	if !strings.Contains(out, " 3 ") {
 		t.Error("figure 3 should show processor 3 owning a tile")
+	}
+}
+
+// TestFigure3CompilesOnConfigEngine checks that Figure 3 compiles its
+// three Laplace variants on cfg.Engine, so the run's engine statistics
+// and cache see them, rather than on the process-wide engine.
+func TestFigure3CompilesOnConfigEngine(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.Engine = sweep.New(sweep.Options{})
+	if _, err := Figure3(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := cfg.Engine.Snapshot().Compiles; n != 3 {
+		t.Errorf("cfg.Engine compiled %d programs, want 3", n)
 	}
 }
 
@@ -273,6 +289,20 @@ func TestFigure7PhaseShape(t *testing.T) {
 	txt := RenderFigure7(phases)
 	if !strings.Contains(txt, "Phase 1") || !strings.Contains(txt, "Phase 2") {
 		t.Error("render missing phases")
+	}
+}
+
+// TestFigure7HonorsContext checks that Figure 7 interprets under
+// cfg.Ctx: a cancelled experiment run stops instead of rendering the
+// profile.
+func TestFigure7HonorsContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := QuickConfig()
+	cfg.Engine = sweep.New(sweep.Options{})
+	cfg.Ctx = ctx
+	if _, err := Figure7(cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Figure7 under a cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -210,3 +210,85 @@ func ScalarRefs(e Expr) []string {
 	walk(e)
 	return out
 }
+
+// Elemental reports whether an expression depends on per-element or
+// per-processor data (array elements or private scalars). An elemental
+// IF condition makes the conditional a data-dependent (masked) CondtD
+// AAU with no single replicated value to trace, rather than replicated
+// control flow.
+func Elemental(e Expr) bool {
+	switch x := e.(type) {
+	case *Elem:
+		return true
+	case *Ref:
+		return x.Kind == Private
+	case *Bin:
+		return Elemental(x.X) || Elemental(x.Y)
+	case *Un:
+		return Elemental(x.X)
+	case *Intr:
+		for _, a := range x.Args {
+			if Elemental(a) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// AssignedScalars lists, each once and in first-assignment order, every
+// scalar a statement subtree assigns or otherwise clobbers: scalar
+// assignment targets, DO indices, reduction results and fetched
+// elements. These are the traced values a loop body or an unresolved
+// branch invalidates.
+func AssignedScalars(ss []Stmt) []string {
+	seen := make(map[string]bool)
+	var out []string
+	add := func(n string) {
+		if n != "" && !seen[n] {
+			seen[n] = true
+			out = append(out, n)
+		}
+	}
+	var scan func(ss []Stmt)
+	scan = func(ss []Stmt) {
+		for _, s := range ss {
+			switch x := s.(type) {
+			case *Assign:
+				if lv, ok := x.Lhs.(*ScalarLV); ok {
+					add(lv.Name)
+				}
+			case *Loop:
+				add(x.Var)
+				scan(x.Body)
+			case *While:
+				scan(x.Body)
+			case *If:
+				scan(x.Then)
+				scan(x.Else)
+			case *Reduce:
+				add(x.Dst)
+				add(x.LocDst)
+			case *FetchElem:
+				add(x.Dst)
+			}
+		}
+	}
+	scan(ss)
+	return out
+}
+
+// TripCount is the iteration count of the DO triplet lo:hi:step (step
+// nonzero); an empty range makes no trips.
+func TripCount(lo, hi, step int) int {
+	if step > 0 {
+		if hi < lo {
+			return 0
+		}
+		return (hi-lo)/step + 1
+	}
+	if hi > lo {
+		return 0
+	}
+	return (lo-hi)/(-step) + 1
+}

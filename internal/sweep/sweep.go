@@ -201,14 +201,9 @@ feed:
 	return results, nil
 }
 
-// Compile returns the compiled program for src via the engine's cache.
-func (e *Engine) Compile(src string, opts compiler.Options) (*hir.Program, error) {
-	return e.CompileContext(context.Background(), src, opts)
-}
-
-// CompileContext is Compile with cooperative cancellation: a caller
-// whose ctx ends while another worker builds the same key stops
-// waiting and returns the ctx error.
+// CompileContext returns the compiled program for src via the engine's
+// cache. A caller whose ctx ends while another worker builds the same
+// key stops waiting and returns the ctx error.
 func (e *Engine) CompileContext(ctx context.Context, src string, opts compiler.Options) (*hir.Program, error) {
 	return e.cache.Compile(ctx, src, opts, e.stats)
 }
@@ -221,13 +216,8 @@ func (e *Engine) Program(ctx context.Context, src string, opts compiler.Options)
 	return e.cache.Program(ctx, src, opts, e.stats)
 }
 
-// Interpret compiles and interprets src on the default machine
-// abstraction, both through the cache.
-func (e *Engine) Interpret(src string, copts compiler.Options, iopts core.Options) (*core.Report, error) {
-	return e.InterpretContext(context.Background(), src, copts, iopts)
-}
-
-// InterpretContext is Interpret with cooperative cancellation.
+// InterpretContext compiles and interprets src on the default machine
+// abstraction, both through the cache, honoring ctx.
 func (e *Engine) InterpretContext(ctx context.Context, src string, copts compiler.Options, iopts core.Options) (*core.Report, error) {
 	return e.cache.Interpret(ctx, src, copts, iopts, "", e.stats)
 }
@@ -238,32 +228,22 @@ func (e *Engine) InterpretMachine(ctx context.Context, machine, src string, copt
 	return e.cache.Interpret(ctx, src, copts, iopts, machine, e.stats)
 }
 
-// Measure executes src on the simulated machine selected by spec,
-// memoizing the deterministic result per (source, options, spec). The
-// returned *exec.Result is shared — treat it as read-only.
-func (e *Engine) Measure(src string, copts compiler.Options, spec MeasureSpec) (*exec.Result, error) {
-	return e.MeasureContext(context.Background(), src, copts, spec)
-}
-
-// MeasureContext is Measure with cooperative cancellation: the
+// MeasureContext executes src on the simulated machine selected by
+// spec, memoizing the deterministic result per (source, options, spec).
+// The returned *exec.Result is shared — treat it as read-only. The
 // simulator's statement loop observes ctx, and a cancelled run is not
 // cached.
 func (e *Engine) MeasureContext(ctx context.Context, src string, copts compiler.Options, spec MeasureSpec) (*exec.Result, error) {
 	return e.cache.Measure(ctx, src, copts, spec, e.stats)
 }
 
-// EstimateAndMeasure is the per-point body of every accuracy sweep: it
-// compiles src once (cached), interprets it for the estimated time
-// (cached) and executes it on the simulated iPSC/860 for the measured
-// time (also cached — the simulator is deterministic per MeasureSpec).
-// runs <= 0 means one timed run; perturb is the measured-run load
-// fluctuation amplitude.
-func (e *Engine) EstimateAndMeasure(src string, runs int, perturb float64) (estUS, measUS float64, err error) {
-	return e.EstimateAndMeasureContext(context.Background(), src, runs, perturb)
-}
-
-// EstimateAndMeasureContext is EstimateAndMeasure with cooperative
-// cancellation of both the interpretation and the simulated execution.
+// EstimateAndMeasureContext is the per-point body of every accuracy
+// sweep: it compiles src once (cached), interprets it for the estimated
+// time (cached) and executes it on the simulated iPSC/860 for the
+// measured time (also cached — the simulator is deterministic per
+// MeasureSpec). runs <= 0 means one timed run; perturb is the
+// measured-run load fluctuation amplitude. ctx cancels both the
+// interpretation and the simulated execution.
 func (e *Engine) EstimateAndMeasureContext(ctx context.Context, src string, runs int, perturb float64) (estUS, measUS float64, err error) {
 	rep, err := e.InterpretContext(ctx, src, compiler.Options{}, core.DefaultOptions())
 	if err != nil {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -79,7 +80,7 @@ func TestRepeatedSweepCompilesOnce(t *testing.T) {
 	}
 	sweepOnce := func() {
 		_, err := Map(e, len(sources), func(i int) (float64, error) {
-			est, _, err := e.EstimateAndMeasure(sources[i], 1, 0.01)
+			est, _, err := e.EstimateAndMeasureContext(context.Background(), sources[i], 1, 0.01)
 			return est, err
 		})
 		if err != nil {
@@ -122,7 +123,7 @@ func TestConcurrentCompileSingleflight(t *testing.T) {
 	e := New(Options{Workers: 8})
 	src := suite.LaplaceXB().Source(16, 4)
 	res, err := Map(e, 16, func(i int) (string, error) {
-		prog, err := e.Compile(src, compiler.Options{})
+		prog, err := e.CompileContext(context.Background(), src, compiler.Options{})
 		if err != nil {
 			return "", err
 		}
@@ -149,7 +150,7 @@ func TestCompileErrorIsCachedToo(t *testing.T) {
 	e := New(Options{})
 	const bad = "PROGRAM nope\nTHIS IS NOT FORTRAN\nEND"
 	for i := 0; i < 3; i++ {
-		if _, err := e.Compile(bad, compiler.Options{}); err == nil {
+		if _, err := e.CompileContext(context.Background(), bad, compiler.Options{}); err == nil {
 			t.Fatal("expected compile error")
 		}
 	}
@@ -180,7 +181,7 @@ func TestInterpFingerprintDistinguishesOptions(t *testing.T) {
 
 func TestSnapshotString(t *testing.T) {
 	e := New(Options{})
-	if _, _, err := e.EstimateAndMeasure(suite.PI().Source(128, 4), 1, 0.01); err != nil {
+	if _, _, err := e.EstimateAndMeasureContext(context.Background(), suite.PI().Source(128, 4), 1, 0.01); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Snapshot().String()
