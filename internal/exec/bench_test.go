@@ -55,6 +55,20 @@ END DO
 END`, n)
 }
 
+// cyclic3Source is a two-point stencil over CYCLIC(3) arrays on four
+// ranks: the partitioned loop's owner changes every three iterations.
+func cyclic3Source(n int) string {
+	return fmt.Sprintf(`PROGRAM c3
+PARAMETER (N = %d)
+REAL U(N), V(N)
+!HPF$ PROCESSORS P(4)
+!HPF$ DISTRIBUTE U(CYCLIC(3)) ONTO P
+!HPF$ DISTRIBUTE V(CYCLIC(3)) ONTO P
+FORALL (I=1:N) U(I) = REAL(I)
+FORALL (I=2:N-1) V(I) = 0.5*(U(I-1) + U(I+1))
+END`, n)
+}
+
 // TestAllocsIndependentOfProblemSize pins the lowered executor's
 // allocation profile: a run allocates the same at both problem sizes
 // (storage, lowering and result only), not per executed statement. The
@@ -76,7 +90,10 @@ func TestAllocsIndependentOfProblemSize(t *testing.T) {
 			cases = append(cases, sized{p.Name, np, p.Sizes[:2], func(size int) string { return p.Source(size, np) }})
 		}
 	}
-	cases = append(cases, sized{"recurrence", 4, []int{64, 512}, recurrenceSource})
+	cases = append(cases,
+		sized{"recurrence", 4, []int{64, 512}, recurrenceSource},
+		sized{"Laplace (Blk-Blk)", 4, []int{16, 64}, func(size int) string { return suite.LaplaceBB().Source(size, 4) }},
+		sized{"cyclic3", 4, []int{70, 700}, cyclic3Source})
 	for _, c := range cases {
 		var allocs []float64
 		for _, size := range c.sizes {

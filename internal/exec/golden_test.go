@@ -241,6 +241,105 @@ S = SUM(A)
 X = A(N,M)
 PRINT *, S, X
 END`},
+	// Single-assignment inner loops: stencils whose owner runs are shorter
+	// than 64 iterations, negative strides, scalar and element kinds, and
+	// assignments that read their own array.
+	{name: "strip-cyclic3-stencil", procs: 4, src: `PROGRAM c3
+PARAMETER (N = 70)
+REAL U(N), V(N)
+!HPF$ PROCESSORS P(4)
+!HPF$ DISTRIBUTE U(CYCLIC(3)) ONTO P
+!HPF$ DISTRIBUTE V(CYCLIC(3)) ONTO P
+FORALL (I=1:N) U(I) = REAL(I) * 0.5
+DO IT = 1, 3
+  FORALL (I=2:N-1) V(I) = 0.5*(U(I-1) + U(I+1))
+  FORALL (I=2:N-1) U(I) = V(I)
+END DO
+S = SUM(U)
+PRINT *, S
+END`},
+	{name: "strip-block-cyclic2-stencil", procs: 4, src: `PROGRAM bc
+PARAMETER (N = 70)
+REAL U(N,N), V(N,N)
+!HPF$ PROCESSORS P(2,2)
+!HPF$ TEMPLATE T(N,N)
+!HPF$ ALIGN U(I,J) WITH T(I,J)
+!HPF$ ALIGN V(I,J) WITH T(I,J)
+!HPF$ DISTRIBUTE T(BLOCK,CYCLIC(2)) ONTO P
+FORALL (I=1:N, J=1:N) U(I,J) = REAL(I+J)
+FORALL (I=2:N-1, J=2:N-1) V(I,J) = 0.25*(U(I-1,J) + U(I+1,J) + U(I,J-1) + U(I,J+1))
+FORALL (I=2:N-1, J=2:N-1) U(I,J) = V(I,J)
+S = SUM(U)
+PRINT *, S
+END`},
+	{name: "strip-negative-stride", procs: 4, src: `PROGRAM ns
+PARAMETER (N = 150)
+REAL A(N), B(N), C(N)
+!HPF$ PROCESSORS P(4)
+!HPF$ DISTRIBUTE A(BLOCK) ONTO P
+!HPF$ DISTRIBUTE B(BLOCK) ONTO P
+FORALL (K=N:1:-1) A(K) = REAL(K)
+FORALL (K=N-1:2:-3) B(K) = A(K+1) - A(K-1)
+C = 1.0
+DO I = N, 1, -2
+  C(I) = 2.0*C(I) + 1.0
+END DO
+S = SUM(A) + SUM(B) + SUM(C)
+PRINT *, S
+END`},
+	{name: "strip-scalar-kinds", procs: 4, src: `PROGRAM k
+PARAMETER (N = 100, M = 3)
+REAL A(N,M), X
+INTEGER L
+!HPF$ PROCESSORS P(4)
+!HPF$ DISTRIBUTE A(BLOCK,*) ONTO P
+L = 7
+X = 0.25
+FORALL (I=1:N, J=1:M) A(I,J) = REAL(I+J) + X*L - 2*L
+S = SUM(A)
+PRINT *, S
+END`},
+	{name: "strip-integer-and-double", procs: 2, src: `PROGRAM id
+PARAMETER (N = 90)
+INTEGER IA(N)
+DOUBLE PRECISION D(N)
+!HPF$ PROCESSORS P(2)
+!HPF$ DISTRIBUTE IA(BLOCK) ONTO P
+!HPF$ DISTRIBUTE D(BLOCK) ONTO P
+FORALL (I=1:N) IA(I) = 3*I - 7
+FORALL (I=1:N) D(I) = SQRT(DBLE(IA(I)) + 10.0D0) + ABS(IA(I))
+S = SUM(D)
+K = SUM(IA)
+PRINT *, S, K
+END`},
+	{name: "strip-product-and-recurrence", procs: 4, src: `PROGRAM pr
+PARAMETER (N = 100)
+REAL PRD(N), A(N)
+!HPF$ PROCESSORS P(4)
+!HPF$ DISTRIBUTE PRD(BLOCK) ONTO P
+!HPF$ DISTRIBUTE A(BLOCK) ONTO P
+FORALL (K=1:N) PRD(K) = 1.0 + 0.01*REAL(K)
+FORALL (K=1:N) A(K) = 0.0
+DO J = 1, 3
+  FORALL (K=1:N) PRD(K) = PRD(K) * (1.0 + 0.5**(REAL(K-J)*0.01))
+END DO
+DO I = 2, N
+  A(I) = A(I-1) + 1.0
+END DO
+S = SUM(PRD) + SUM(A)
+PRINT *, S
+END`},
+	{name: "strip-replicated-accumulate", procs: 2, src: `PROGRAM r
+REAL A(10), B(100)
+!HPF$ PROCESSORS P(2)
+FORALL (I=1:100) B(I) = REAL(I)
+A = 0.0
+J = 3
+DO I = 1, 100
+  A(J) = A(J) + B(I)
+END DO
+PRINT *, A(J)
+END`},
 }
 
 // errorPrograms fail at run time; the golden pins their error text,
@@ -328,6 +427,38 @@ REAL A(N)
 !HPF$ DISTRIBUTE A(BLOCK) ONTO P
 M = 0
 FORALL (I=8:M:-2) A(I) = REAL(I)
+END`},
+	// Single-assignment inner loops that fail partway through 64
+	// iterations: a read and a store leave their arrays, and the step
+	// budget runs out.
+	{name: "strip-read-leaves-array", procs: 1, src: `PROGRAM e
+PARAMETER (N = 50)
+REAL A(40), B(N)
+!HPF$ PROCESSORS P(1)
+FORALL (I=1:40) A(I) = REAL(I)
+K = 1
+DO I = 1, N
+  B(I) = A(I+K)
+END DO
+PRINT *, B(1)
+END`},
+	{name: "strip-store-leaves-array", procs: 2, src: `PROGRAM e
+PARAMETER (N = 50)
+REAL A(N), B(40)
+!HPF$ PROCESSORS P(2)
+!HPF$ DISTRIBUTE A(BLOCK) ONTO P
+FORALL (I=1:N) A(I) = REAL(I)
+K = 3
+DO I = 1, N
+  B(I+K) = 2.0 * A(I)
+END DO
+END`},
+	{name: "strip-max-steps", procs: 1, maxSteps: 1000, src: `PROGRAM e
+PARAMETER (N = 5000)
+REAL A(N), B(N)
+!HPF$ PROCESSORS P(1)
+FORALL (I=1:N) A(I) = REAL(I)
+FORALL (I=1:N) B(I) = A(I) * 2.0
 END`},
 }
 
