@@ -7,14 +7,6 @@ import (
 	"hpfperf/internal/sem"
 )
 
-// stCost is the precomputed per-execution timing of a statement under the
-// detailed machine model: cycles charged to the ranks that execute it,
-// plus the ownership-test cycles charged to every rank reaching it.
-type stCost struct {
-	cycles      float64
-	guardCycles float64
-}
-
 // costCtx carries loop context during static cost analysis.
 type costCtx struct {
 	innerVar  string // variable of the innermost enclosing loop
@@ -26,7 +18,9 @@ type costCtx struct {
 
 // analyzeCosts walks the program once, computing per-statement costs.
 func (vm *VM) analyzeCosts() {
-	vm.costs = make(map[hir.Stmt]*stCost)
+	vm.costs = make(map[hir.Stmt][]float64)
+	P := vm.mach.Node().P
+	vm.overhead, vm.guard = vm.us(P.LoopOverheadCycles), vm.us(P.GuardCycles)
 	vm.analyzeStmts(vm.prog.Body, costCtx{})
 }
 
@@ -38,71 +32,78 @@ func (vm *VM) analyzeStmts(ss []hir.Stmt, ctx costCtx) {
 
 func (vm *VM) analyzeStmt(s hir.Stmt, ctx costCtx) {
 	P := vm.mach.Node().P
+	var cycles float64
 	switch x := s.(type) {
 	case *hir.Assign:
-		c := &stCost{}
 		var storeScale float64
 		ctx.missScale, storeScale = vm.groupMissScale(x)
-		c.cycles = vm.exprCycles(x.Rhs, ctx) + P.StartupStatueCycles
+		cycles = vm.exprCycles(x.Rhs, ctx) + P.StartupStatueCycles
 		switch lhs := x.Lhs.(type) {
 		case *hir.ElemLV:
 			for _, sub := range lhs.Subs {
-				c.cycles += vm.exprCycles(sub, ctx) + P.IntOpCycles
+				cycles += vm.exprCycles(sub, ctx) + P.IntOpCycles
 			}
 			cls := vm.accessClass(lhs.Subs, false, ctx)
-			c.cycles += vm.mach.MemAccessCyclesScaled(true, cls, ctx.footprint, lhs.Typ.Bytes(), storeScale)
-			c.cycles += P.IndexCycles
+			cycles += vm.mach.MemAccessCyclesScaled(true, cls, ctx.footprint, lhs.Typ.Bytes(), storeScale)
+			cycles += P.IndexCycles
 		case *hir.ScalarLV:
-			c.cycles += vm.mach.Node().M.StoreCycles
+			cycles += vm.mach.Node().M.StoreCycles
 		}
-		if x.Guard {
-			c.guardCycles = P.GuardCycles
-		}
-		vm.costs[s] = c
 	case *hir.Loop:
-		c := &stCost{}
-		c.cycles = vm.exprCycles(x.Lo, ctx) + vm.exprCycles(x.Hi, ctx) + vm.exprCycles(x.Step, ctx)
-		vm.costs[s] = c
+		cycles = vm.exprCycles(x.Lo, ctx) + vm.exprCycles(x.Hi, ctx) + vm.exprCycles(x.Step, ctx)
 		inner := costCtx{innerVar: x.Var, footprint: ctx.footprint}
 		if ctx.footprint == 0 {
 			inner.footprint = vm.nestFootprint(x)
 		}
 		vm.analyzeStmts(x.Body, inner)
 	case *hir.While:
-		vm.costs[s] = &stCost{cycles: vm.exprCycles(x.Cond, ctx) + P.BranchCycles}
+		cycles = vm.exprCycles(x.Cond, ctx) + P.BranchCycles
 		vm.analyzeStmts(x.Body, ctx)
 	case *hir.If:
-		vm.costs[s] = &stCost{cycles: vm.exprCycles(x.Cond, ctx) + P.BranchCycles}
+		cycles = vm.exprCycles(x.Cond, ctx) + P.BranchCycles
 		vm.analyzeStmts(x.Then, ctx)
 		vm.analyzeStmts(x.Else, ctx)
 	case *hir.FetchElem:
-		c := &stCost{}
 		for _, sub := range x.Subs {
-			c.cycles += vm.exprCycles(sub, ctx)
+			cycles += vm.exprCycles(sub, ctx)
 		}
-		vm.costs[s] = c
 	case *hir.Print:
-		c := &stCost{}
 		for _, a := range x.Args {
-			c.cycles += vm.exprCycles(a, ctx)
+			cycles += vm.exprCycles(a, ctx)
 		}
-		vm.costs[s] = c
 	case *hir.Reduce:
 		// Local combine bookkeeping per stage is tiny; charged as a fixed
 		// handful of cycles (the network cost dominates and is charged by
 		// the machine model).
-		vm.costs[s] = &stCost{cycles: 12}
+		cycles = 12
 	case *hir.CShift:
-		vm.costs[s] = &stCost{cycles: vm.exprCycles(x.Shift, ctx)}
+		cycles = vm.exprCycles(x.Shift, ctx)
 	case *hir.EOShift:
-		c := &stCost{cycles: vm.exprCycles(x.Shift, ctx)}
+		cycles = vm.exprCycles(x.Shift, ctx)
 		if x.Boundary != nil {
-			c.cycles += vm.exprCycles(x.Boundary, ctx)
+			cycles += vm.exprCycles(x.Boundary, ctx)
 		}
-		vm.costs[s] = c
-	case *hir.Shift, *hir.AllGather:
-		vm.costs[s] = &stCost{}
 	}
+	vm.costs[s] = vm.us(cycles)
+}
+
+// us returns cycles as each rank's clock advance, the value
+// Machine.Compute adds, or nil for zero cycles, which charge nothing.
+// The tables of a run share a few slabs.
+func (vm *VM) us(cycles float64) []float64 {
+	if cycles == 0 {
+		return nil
+	}
+	n := vm.mach.Nodes()
+	if len(vm.slab) < n {
+		vm.slab = make([]float64, 16*n)
+	}
+	t := vm.slab[:n:n]
+	vm.slab = vm.slab[n:]
+	for r := range t {
+		t[r] = vm.mach.ComputeUS(r, cycles)
+	}
+	return t
 }
 
 // exprCycles returns the detailed per-evaluation cycle cost of an

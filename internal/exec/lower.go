@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"strings"
 
 	"hpfperf/internal/ast"
@@ -37,13 +38,20 @@ func (vm *VM) lowerStmt(s hir.Stmt) stmtFn {
 	line := s.Line()
 	switch x := s.(type) {
 	case *hir.Assign:
-		return vm.lowerAssign(x)
+		f := vm.lowerAssign(x)
+		if t := stripTest; t != nil {
+			return func(pc int) {
+				t.elem.Add(1)
+				f(pc)
+			}
+		}
+		return f
 	case *hir.Loop:
 		return vm.lowerLoop(x)
 	case *hir.While:
 		return vm.lowerWhile(x)
 	case *hir.If:
-		cycles := vm.costs[x].cycles
+		cycles := vm.costs[x]
 		cond, then, els := vm.lowerExpr(x.Cond), vm.lowerBlock(x.Then), vm.lowerBlock(x.Else)
 		return func(pc int) {
 			vm.enter(line)
@@ -76,8 +84,7 @@ func (vm *VM) lowerStmt(s hir.Stmt) stmtFn {
 }
 
 func (vm *VM) lowerAssign(x *hir.Assign) stmtFn {
-	line, cost := x.SrcLine, vm.costs[x]
-	cycles := cost.cycles
+	line, cycles := x.SrcLine, vm.costs[x]
 	rhs := vm.lowerExpr(x.Rhs)
 	if lhs, ok := x.Lhs.(*hir.ScalarLV); ok {
 		s, typ := vm.slot(lhs.Name), lhs.Typ
@@ -107,7 +114,7 @@ func (vm *VM) lowerAssign(x *hir.Assign) stmtFn {
 	}
 	// Only the owners store: every rank reaching the statement pays the
 	// ownership test, then the owners among them pay the store.
-	subs, guard := vm.lowerSubs(lhs.Subs), cost.guardCycles
+	subs, guard := vm.lowerSubs(lhs.Subs), vm.guard
 	own := vm.lowerOwners(lhs.Array)
 	return func(pc int) {
 		vm.enter(line)
@@ -189,66 +196,84 @@ func (o *owners) narrow(pc int, idx []int) int {
 	return o.narrowed
 }
 
+// cursor is the state of one execution of a loop: the context pc it was
+// entered under and, for a partitioned loop, the owner run [lo,hi] of the
+// current iteration's element along dimension dd (offset off from the
+// loop index) with the context inner that iteration runs under. An
+// unpartitioned loop's run is every index.
+type cursor struct {
+	pc, inner int
+	dd        dist.DimDist
+	off       int
+	lo, hi    int
+	strips    bool // the loop runs in strips where it can (see strip.run)
+}
+
+// reach moves c to the owner run of element g and reports whether g lies
+// inside the partitioned dimension.
+func (c *cursor) reach(parts *partitions, g int) bool {
+	if g >= c.lo && g <= c.hi {
+		return true
+	}
+	if g < c.dd.Lo || g > c.dd.Hi {
+		return false
+	}
+	var coord int
+	coord, c.lo, c.hi = c.dd.OwnerRun(g)
+	c.inner = parts.with(c.pc, c.dd.ProcDim, coord)
+	return true
+}
+
+// lowerLoop lowers a counted loop. A partitioned (owner-computes) loop
+// runs iteration i on the owners of element i+Offset of the partitioning
+// array's dimension. The owner, and with it the iteration's context,
+// changes only where that element leaves its owner run; runs lie inside
+// the dimension, so an index outside it always leaves the run and fails
+// its check.
 func (vm *VM) lowerLoop(x *hir.Loop) stmtFn {
-	line, cycles := x.SrcLine, vm.costs[x].cycles
+	line, cycles := x.SrcLine, vm.costs[x]
 	lo, hi, step := vm.lowerExpr(x.Lo), vm.lowerExpr(x.Hi), vm.lowerExpr(x.Step)
 	iv, body := vm.slot(x.Var), vm.lowerBlock(x.Body)
-	overhead := vm.mach.Node().P.LoopOverheadCycles
-	// bounds starts the loop: it charges the bound evaluation and returns
-	// the evaluated lo, hi and step.
-	bounds := func(pc int) (int64, int64, int64) {
+	strip := vm.lowerStrip(x, iv)
+	var par hir.ParSpec
+	var m *dist.ArrayMap
+	if x.Par != nil {
+		par, m = *x.Par, vm.prog.Info.ArrayMap(x.Par.Array)
+	}
+	return func(pc int) {
 		vm.enter(line)
 		vm.charge(pc, cycles)
 		l, h, st := lo().asI(), hi().asI(), step().asI()
 		if st == 0 {
 			vm.fail("loop %s has zero step", x.Var)
 		}
-		return l, h, st
-	}
-	if x.Par == nil {
-		return func(pc int) {
-			l, h, st := bounds(pc)
-			for i := l; (st > 0 && i <= h) || (st < 0 && i >= h); i += st {
-				vm.tick()
-				iv.store(intV(i))
-				vm.charge(pc, overhead)
-				body(pc)
+		c := cursor{pc: pc, inner: pc, off: par.Offset, lo: math.MinInt, hi: math.MaxInt, strips: strip != nil && strip.fits()}
+		if x.Par != nil {
+			if m == nil {
+				vm.fail("partitioned loop references unmapped array %s", par.Array)
 			}
+			c.dd, c.lo, c.hi = m.Dims[par.Dim], 1, 0
 		}
-	}
-	// Owner-computes partitioned loop: iteration i runs on the owners of
-	// element i+Offset of the partitioning array's dimension. The owner,
-	// and with it the iteration's context, changes only where that element
-	// leaves its owner run; runs lie inside the dimension, so an index
-	// outside it always leaves the run and fails its check.
-	par := *x.Par
-	m := vm.prog.Info.ArrayMap(par.Array)
-	return func(pc int) {
-		l, h, st := bounds(pc)
-		if m == nil {
-			vm.fail("partitioned loop references unmapped array %s", par.Array)
-		}
-		dd := m.Dims[par.Dim]
-		runLo, runHi, inner := 1, 0, pc
 		for i := l; (st > 0 && i <= h) || (st < 0 && i >= h); i += st {
-			vm.tick()
-			if g := int(i) + par.Offset; g < runLo || g > runHi {
-				if g < dd.Lo || g > dd.Hi {
-					vm.fail("partitioned index %d outside dimension [%d,%d] of %s", g, dd.Lo, dd.Hi, par.Array)
+			if c.strips {
+				if last, ok := strip.run(&c, i, h, st); ok {
+					i = last
+					continue
 				}
-				var c int
-				c, runLo, runHi = dd.OwnerRun(g)
-				inner = vm.parts.with(pc, dd.ProcDim, c)
+			}
+			vm.tick()
+			if g := int(i) + c.off; !c.reach(vm.parts, g) {
+				vm.fail("partitioned index %d outside dimension [%d,%d] of %s", g, c.dd.Lo, c.dd.Hi, par.Array)
 			}
 			iv.store(intV(i))
-			vm.charge(inner, overhead)
-			body(inner)
+			vm.charge(c.inner, vm.overhead)
+			body(c.inner)
 		}
 	}
 }
 
 func (vm *VM) lowerWhile(x *hir.While) stmtFn {
-	line, cycles := x.SrcLine, vm.costs[x].cycles
+	line, cycles := x.SrcLine, vm.costs[x]
 	cond, body := vm.lowerExpr(x.Cond), vm.lowerBlock(x.Body)
 	return func(pc int) {
 		vm.enter(line)
@@ -267,7 +292,7 @@ func (vm *VM) lowerWhile(x *hir.While) stmtFn {
 }
 
 func (vm *VM) lowerReduce(x *hir.Reduce) stmtFn {
-	line, cycles := x.SrcLine, vm.costs[x].cycles
+	line, cycles := x.SrcLine, vm.costs[x]
 	src, dst, zero := vm.slot(x.Src), vm.slot(x.Dst), convertTo(val{}, x.Typ)
 	bytes := 8
 	var locSrc, locDst *slot
@@ -398,7 +423,7 @@ func (vm *VM) lowerAllGather(x *hir.AllGather) stmtFn {
 // lowerCShift lowers CSHIFT (circular=true) and EOSHIFT/TSHIFT: a
 // functional copy plus the exchange and the local copy's cycles.
 func (vm *VM) lowerCShift(s hir.Stmt, dstName, srcName string, dim int, shiftE, boundary hir.Expr, circular bool) stmtFn {
-	line, cycles := s.Line(), vm.costs[s].cycles
+	line, cycles := s.Line(), vm.costs[s]
 	dst, src := vm.arrays[dstName], vm.arrays[srcName]
 	shiftF := vm.lowerExpr(shiftE)
 	var boundF exprFn
@@ -406,7 +431,7 @@ func (vm *VM) lowerCShift(s hir.Stmt, dstName, srcName string, dim int, shiftE, 
 		boundF = vm.lowerExpr(boundary)
 	}
 	exchanges := make(map[int]*exchange) // by shift amount
-	var copyCycles []float64
+	var copyUS []float64
 	var idx, srcIdx []int // this site's scratch index vectors
 	if src != nil {
 		idx, srcIdx = make([]int, len(src.bounds)), make([]int, len(src.bounds))
@@ -438,21 +463,19 @@ func (vm *VM) lowerCShift(s hir.Stmt, dstName, srcName string, dim int, shiftE, 
 			}
 			ex.run(vm)
 		}
-		if copyCycles == nil {
+		if copyUS == nil {
 			M := vm.mach.Node().M
 			per := M.LoadCycles + M.StoreCycles + 2
-			copyCycles = make([]float64, len(vm.parts.coords))
-			for r := range copyCycles {
+			copyUS = make([]float64, len(vm.parts.coords))
+			for r := range copyUS {
 				local := src.elems()
 				if m != nil && !m.Replicated {
 					local = m.LocalCount(r)
 				}
-				copyCycles[r] = float64(local) * per
+				copyUS[r] = vm.mach.ComputeUS(r, float64(local)*per)
 			}
 		}
-		for r, c := range copyCycles {
-			vm.mach.Compute(r, c)
-		}
+		vm.mach.Charge(vm.parts.ranksOf(freePC), copyUS, 1)
 		vm.charge(freePC, cycles)
 	}
 }
@@ -504,7 +527,7 @@ func (vm *VM) shiftCopy(dst, src *array, dim, shift int, bval float64, circular 
 }
 
 func (vm *VM) lowerFetch(x *hir.FetchElem) stmtFn {
-	line, cycles := x.SrcLine, vm.costs[x].cycles
+	line, cycles := x.SrcLine, vm.costs[x]
 	a := vm.arrays[x.Array]
 	subs, dst := vm.lowerSubs(x.Subs), vm.slot(x.Dst)
 	own := vm.lowerOwners(x.Array)
@@ -528,7 +551,7 @@ func (vm *VM) lowerFetch(x *hir.FetchElem) stmtFn {
 }
 
 func (vm *VM) lowerPrint(x *hir.Print) stmtFn {
-	line, cycles := x.SrcLine, vm.costs[x].cycles
+	line, cycles := x.SrcLine, vm.costs[x]
 	var fs []exprFn
 	for _, a := range x.Args {
 		if c, ok := a.(*hir.Const); ok && c.Val.Type == ast.TCharacter {

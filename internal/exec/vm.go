@@ -56,11 +56,22 @@ type VM struct {
 	parts   *partitions
 	arrays  map[string]*array
 	slots   map[string]*slot
-	costs   map[hir.Stmt]*stCost
+	costs   map[hir.Stmt][]float64 // per-execution charge (see VM.us)
 	printed []string
 	steps   int64
 	maxStep int64
 	line    int // source line of the statement executing now
+
+	overhead []float64 // loop overhead per iteration (see VM.us)
+	guard    []float64 // ownership test of a guarded store
+	slab     []float64 // unused room for per-rank charge tables
+	aligned  []float64 // charge's scratch: one table entry per selected rank
+	// Strip buffers, one stripLen run per slot of each kind: the
+	// strips of a run share them, since only one evaluates at a time.
+	sf             []float64
+	si             []int64
+	fSlots, iSlots int
+	plan           stripPlan
 }
 
 // Run compiles-in and executes the program, averaging opts.Runs timed runs.
@@ -164,6 +175,7 @@ func newVM(ctx context.Context, prog *hir.Program, m *ipsc.Machine, maxSteps int
 		arrays:  make(map[string]*array),
 		slots:   make(map[string]*slot),
 		maxStep: maxSteps,
+		aligned: make([]float64, m.Nodes()),
 	}
 	for name, sym := range prog.Info.Symbols {
 		if sym.Kind == sem.SymArray {
@@ -179,6 +191,11 @@ func newVM(ctx context.Context, prog *hir.Program, m *ipsc.Machine, maxSteps int
 func (vm *VM) run() (err error) {
 	vm.analyzeCosts()
 	body := vm.lowerBlock(vm.prog.Body)
+	if vm.fSlots > 0 {
+		n := 3 * vm.mach.Nodes()
+		vm.sf, vm.si = make([]float64, vm.fSlots*stripLen), make([]int64, vm.iSlots*stripLen)
+		vm.plan.ranks, vm.plan.us = make([]int, 0, n), make([]float64, 0, n)
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			a, ok := p.(abort)
@@ -249,15 +266,20 @@ func (vm *VM) poll() {
 	}
 }
 
-// charge adds cycles to every rank selected by partition context pc, in
-// ascending rank order.
-func (vm *VM) charge(pc int, cycles float64) {
-	if cycles == 0 {
+// charge adds a statement's clock advances us (see VM.us) to every rank
+// selected by partition context pc, in ascending rank order.
+func (vm *VM) charge(pc int, us []float64) {
+	if us == nil {
 		return
 	}
-	for _, r := range vm.parts.ranksOf(pc) {
-		vm.mach.Compute(r, cycles)
+	ranks := vm.parts.ranksOf(pc)
+	if len(ranks) < len(us) {
+		for k, r := range ranks {
+			vm.aligned[k] = us[r]
+		}
+		us = vm.aligned[:len(ranks)]
 	}
+	vm.mach.Charge(ranks, us, 1)
 }
 
 // freePC is the unconstrained partition context: every rank executes.

@@ -171,9 +171,44 @@ func (m *Machine) MeasuredTimeUS() float64 {
 // Compute advances rank's clock by the given cycle count, applying the
 // node's clock rate and the per-run load factor.
 func (m *Machine) Compute(rank int, cycles float64) {
-	us := m.node.P.CyclesToUS(cycles) * m.factor[rank]
+	us := m.ComputeUS(rank, cycles)
 	m.clocks[rank] += us
 	m.Stats.ComputeUS += us
+}
+
+// ComputeUS returns the time Compute(rank, cycles) adds to rank's clock.
+func (m *Machine) ComputeUS(rank int, cycles float64) float64 {
+	return m.node.P.CyclesToUS(cycles) * m.factor[rank]
+}
+
+// Charge makes n rounds of precomputed compute charges: each round adds
+// us[k] to the clock of rank ranks[k], for k in order. The clocks and
+// Stats.ComputeUS receive the same additions, in the same order, as the
+// Compute calls whose ComputeUS values us holds.
+func (m *Machine) Charge(ranks []int, us []float64, n int) {
+	total, one := m.Stats.ComputeUS, len(ranks) > 0
+	for _, r := range ranks {
+		one = one && r == ranks[0]
+	}
+	if one {
+		// One rank: keep its clock in a register too.
+		clock := m.clocks[ranks[0]]
+		for ; n > 0; n-- {
+			for _, u := range us {
+				clock += u
+				total += u
+			}
+		}
+		m.clocks[ranks[0]], m.Stats.ComputeUS = clock, total
+		return
+	}
+	for ; n > 0; n-- {
+		for k, r := range ranks {
+			m.clocks[r] += us[k]
+			total += us[k]
+		}
+	}
+	m.Stats.ComputeUS = total
 }
 
 // ComputeAll advances every clock (redundant replicated computation).
