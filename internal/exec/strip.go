@@ -146,13 +146,11 @@ type strip struct {
 	us    []float64 // the statement's charge
 }
 
-// stripPlan holds the charges of one iteration of strip s under context
-// pc, whose store the ranks of context own own: us[k] to rank ranks[k].
+// stripPlan holds the charges of one iteration of a strip: us[k] to rank
+// ranks[k].
 type stripPlan struct {
-	s       *strip
-	pc, own int
-	ranks   []int
-	us      []float64
+	ranks []int
+	us    []float64
 }
 
 // lowerStrip returns the strip form of loop x, or nil when its body is
@@ -471,9 +469,7 @@ func (s *strip) run(c *cursor, i, h, st int64) (int64, bool) {
 		data[off] = v
 		off += s.lhs.step
 	}
-	if p := &vm.plan; p.s != s || p.pc != c.inner || p.own != opc {
-		s.plan(c.inner, opc)
-	}
+	s.plan(c.inner, opc)
 	vm.mach.Charge(vm.plan.ranks, vm.plan.us, n)
 	vm.steps = steps
 	s.iv.store(intV(last))
@@ -490,7 +486,6 @@ func (s *strip) run(c *cursor, i, h, st int64) (int64, bool) {
 // statement to inner's ranks.
 func (s *strip) plan(inner, own int) {
 	p := &s.vm.plan
-	p.s, p.pc, p.own = s, inner, own
 	p.ranks, p.us = p.ranks[:0], p.us[:0]
 	p.add(s.vm.parts, inner, s.vm.overhead)
 	if s.own == nil {
