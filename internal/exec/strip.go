@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"hpfperf/internal/ast"
@@ -144,6 +145,8 @@ type strip struct {
 	refs  []ref   // the LHS and every element the right-hand side reads
 	code  []instr
 	us    []float64 // the statement's charge
+	// slots of each kind the code uses
+	fSlots, iSlots int
 }
 
 // stripPlan holds the charges of one iteration of a strip: us[k] to rank
@@ -190,6 +193,7 @@ func (vm *VM) lowerStrip(x *hir.Loop, iv *slot) *strip {
 	if as.Guard {
 		s.own, s.idx = vm.lowerOwners(lv.Array), make([]int, len(lv.Subs))
 	}
+	vm.fSlots, vm.iSlots = max(vm.fSlots, s.fSlots), max(vm.iSlots, s.iSlots)
 	return s
 }
 
@@ -303,7 +307,7 @@ func (s *strip) compile(e hir.Expr, d int) (isInt, ok bool) {
 			return false, false
 		}
 		r := s.ref(a, x.Subs)
-		if r == nil || (a == s.lhs.a && !(s.moves && sameSubs(r.subs, s.lhs.subs))) {
+		if r == nil || (a == s.lhs.a && !(s.moves && slices.Equal(r.subs, s.lhs.subs))) {
 			return false, false
 		}
 		return s.emit(instr{op: opLoad, slot: d, r: r}, a.typ == ast.TInteger), true
@@ -353,12 +357,12 @@ func (s *strip) emit(in instr, isInt bool) bool {
 	return isInt
 }
 
-// slots makes room for slot d of a kind in the run's buffers.
+// slots counts slot d of a kind as used.
 func (s *strip) slots(d int, isInt bool) {
 	if isInt {
-		s.vm.iSlots = max(s.vm.iSlots, d+1)
+		s.iSlots = max(s.iSlots, d+1)
 	} else {
-		s.vm.fSlots = max(s.vm.fSlots, d+1)
+		s.fSlots = max(s.fSlots, d+1)
 	}
 }
 
@@ -368,15 +372,6 @@ func leaf(e hir.Expr) bool {
 		return true
 	}
 	return false
-}
-
-func sameSubs(a, b []sub) bool {
-	for d := range a {
-		if a[d] != b[d] {
-			return false
-		}
-	}
-	return len(a) == len(b)
 }
 
 // count returns how many of the indices from, from+st, from+2st, ... lie

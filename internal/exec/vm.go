@@ -66,8 +66,9 @@ type VM struct {
 	guard    []float64 // ownership test of a guarded store
 	slab     []float64 // unused room for per-rank charge tables
 	aligned  []float64 // charge's scratch: one table entry per selected rank
-	// Strip buffers, one stripLen run per slot of each kind: the
-	// strips of a run share them, since only one evaluates at a time.
+	// Strip scratch, which the strips of a run share since only one
+	// runs at a time: one stripLen run per slot of each kind (as many as
+	// the deepest strip uses), and the charges of one iteration.
 	sf             []float64
 	si             []int64
 	fSlots, iSlots int
@@ -191,7 +192,7 @@ func newVM(ctx context.Context, prog *hir.Program, m *ipsc.Machine, maxSteps int
 func (vm *VM) run() (err error) {
 	vm.analyzeCosts()
 	body := vm.lowerBlock(vm.prog.Body)
-	if vm.fSlots > 0 {
+	if vm.fSlots > 0 { // some loop runs in strips
 		n := 3 * vm.mach.Nodes()
 		vm.sf, vm.si = make([]float64, vm.fSlots*stripLen), make([]int64, vm.iSlots*stripLen)
 		vm.plan.ranks, vm.plan.us = make([]int, 0, n), make([]float64, 0, n)
