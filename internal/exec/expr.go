@@ -258,10 +258,17 @@ func (vm *VM) lowerIntr(x *hir.Intr) exprFn {
 	}
 }
 
+// floatFns are the intrinsics that apply a float function to their one
+// argument, read through asF.
+var floatFns = map[string]func(float64) float64{
+	"SQRT": math.Sqrt, "EXP": math.Exp, "LOG": math.Log, "SIN": math.Sin,
+	"COS": math.Cos, "TAN": math.Tan, "ATAN": math.Atan,
+}
+
 // intrinsic returns an intrinsic as a function of its evaluated
 // arguments.
 func (vm *VM) intrinsic(name string) func(args []val) val {
-	f1 := func(fn func(float64) float64) func([]val) val {
+	if fn := floatFns[name]; fn != nil {
 		return func(args []val) val { return floatV(fn(args[0].asF())) }
 	}
 	switch name {
@@ -276,20 +283,6 @@ func (vm *VM) intrinsic(name string) func(args []val) val {
 			}
 			return floatV(math.Abs(args[0].asF()))
 		}
-	case "SQRT":
-		return f1(math.Sqrt)
-	case "EXP":
-		return f1(math.Exp)
-	case "LOG":
-		return f1(math.Log)
-	case "SIN":
-		return f1(math.Sin)
-	case "COS":
-		return f1(math.Cos)
-	case "TAN":
-		return f1(math.Tan)
-	case "ATAN":
-		return f1(math.Atan)
 	case "MOD":
 		return func(args []val) val {
 			if args[0].isInt() && args[1].isInt() {

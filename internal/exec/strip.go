@@ -113,7 +113,7 @@ const (
 // it into slot of the other kind's buffers as asI or asF would. A binary
 // operation combines its left operand in slot with its right one in
 // slot+1, or, when swap is set, its left operand in slot+1 with its
-// right one in slot.
+// right one in slot. A load reads element reference r of the strip.
 type instr struct {
 	op              opcode
 	int, conv, swap bool // int: integer result (kInt), else float
@@ -121,13 +121,8 @@ type instr struct {
 	i               int64
 	f               float64
 	s               *slot
-	r               *ref
+	r               int
 	fn              func(float64) float64
-}
-
-var stripFns = map[string]func(float64) float64{
-	"SQRT": math.Sqrt, "EXP": math.Exp, "LOG": math.Log, "SIN": math.Sin,
-	"COS": math.Cos, "TAN": math.Tan, "ATAN": math.Atan,
 }
 
 var stripOps = map[hir.Op]opcode{hir.OpAdd: opAdd, hir.OpSub: opSub, hir.OpMul: opMul, hir.OpDiv: opDiv, hir.OpPow: opPow}
@@ -138,11 +133,10 @@ type strip struct {
 	line  int
 	loop  string // loop variable
 	iv    *slot
-	lhs   *ref
 	moves bool    // an LHS subscript carries the loop variable
 	own   *owners // the LHS owners of a guarded assignment, else nil
 	idx   []int   // the LHS index of a guarded strip's first iteration
-	refs  []ref   // the LHS and every element the right-hand side reads
+	refs  []ref   // the LHS, then every element the right-hand side reads
 	code  []instr
 	us    []float64 // the statement's charge
 	// slots of each kind the code uses
@@ -178,13 +172,11 @@ func (vm *VM) lowerStrip(x *hir.Loop, iv *slot) *strip {
 	if a == nil || (a.typ != ast.TReal && a.typ != ast.TDouble) {
 		return nil
 	}
-	nodes, elems := size(as.Rhs)
 	s := &strip{vm: vm, line: as.SrcLine, loop: x.Var, iv: iv, us: vm.costs[as]}
-	s.code, s.refs = make([]instr, 0, nodes), make([]ref, 0, elems+1)
-	if s.lhs = s.ref(a, lv.Subs); s.lhs == nil {
+	if s.ref(a, lv.Subs) < 0 {
 		return nil
 	}
-	for _, u := range s.lhs.subs {
+	for _, u := range s.lhs().subs {
 		s.moves = s.moves || u.loop
 	}
 	if !s.operand(as.Rhs, 0, false) {
@@ -197,40 +189,21 @@ func (vm *VM) lowerStrip(x *hir.Loop, iv *slot) *strip {
 	return s
 }
 
-// size counts the nodes and the element references of e.
-func size(e hir.Expr) (nodes, elems int) {
-	var kids []hir.Expr
-	switch x := e.(type) {
-	case *hir.Elem:
-		elems = 1
-	case *hir.Bin:
-		kids = []hir.Expr{x.X, x.Y}
-	case *hir.Un:
-		kids = []hir.Expr{x.X}
-	case *hir.Intr:
-		kids = x.Args
-	}
-	nodes = 1
-	for _, k := range kids {
-		n, m := size(k)
-		nodes, elems = nodes+n, elems+m
-	}
-	return nodes, elems
-}
+// lhs is the element the strip stores, its first reference.
+func (s *strip) lhs() *ref { return &s.refs[0] }
 
-// ref records an element reference, or returns nil when a subscript is
-// not one a strip evaluates. The references live in s.refs, sized by
-// lowerStrip, so they never move.
-func (s *strip) ref(a *array, subs []hir.Expr) *ref {
+// ref appends an element reference to s.refs and returns its index, or
+// -1 when a subscript is not one a strip evaluates.
+func (s *strip) ref(a *array, subs []hir.Expr) int {
 	r := ref{a: a, subs: make([]sub, len(subs))}
 	for d, e := range subs {
 		var ok bool
 		if r.subs[d], ok = s.sub(e); !ok {
-			return nil
+			return -1
 		}
 	}
 	s.refs = append(s.refs, r)
-	return &s.refs[len(s.refs)-1]
+	return len(s.refs) - 1
 }
 
 // sub parses a subscript that is a constant, a scalar or the loop
@@ -306,11 +279,11 @@ func (s *strip) compile(e hir.Expr, d int) (isInt, ok bool) {
 		if a == nil || a.typ == ast.TLogical {
 			return false, false
 		}
-		r := s.ref(a, x.Subs)
-		if r == nil || (a == s.lhs.a && !(s.moves && slices.Equal(r.subs, s.lhs.subs))) {
+		k := s.ref(a, x.Subs)
+		if k < 0 || (a == s.lhs().a && !(s.moves && slices.Equal(s.refs[k].subs, s.lhs().subs))) {
 			return false, false
 		}
-		return s.emit(instr{op: opLoad, slot: d, r: r}, a.typ == ast.TInteger), true
+		return s.emit(instr{op: opLoad, slot: d, r: k}, a.typ == ast.TInteger), true
 	case *hir.Bin:
 		// A leaf left operand waits in the slot above a deeper right one,
 		// so a constant factor holds no slot while the rest is computed.
@@ -332,7 +305,7 @@ func (s *strip) compile(e hir.Expr, d int) (isInt, ok bool) {
 		if len(x.Args) != 1 {
 			return false, false
 		}
-		switch fn := stripFns[x.Name]; {
+		switch fn := floatFns[x.Name]; {
 		case x.Name == "REAL" || x.Name == "FLOAT" || x.Name == "DBLE":
 			return false, s.operand(x.Args[0], d, false)
 		case x.Name == "ABS":
@@ -418,7 +391,7 @@ func (s *strip) fits() bool {
 // returns false, when one of them could fail; the caller then runs
 // iteration i one statement at a time.
 func (s *strip) run(c *cursor, i, h, st int64) (int64, bool) {
-	vm := s.vm
+	vm, lhs := s.vm, s.lhs()
 	n := count(i, h, st)
 	if st > 1<<32 || st < -1<<32 {
 		n = 1 // a longer strip could wrap a subscript between its ends
@@ -430,7 +403,7 @@ func (s *strip) run(c *cursor, i, h, st int64) (int64, bool) {
 	n = min(n, within(g, c.lo, c.hi, st))
 	opc := c.inner
 	if s.own != nil {
-		for d, u := range s.lhs.subs {
+		for d, u := range lhs.subs {
 			s.idx[d] = u.at(i)
 		}
 		for k := range s.own.dims {
@@ -440,7 +413,7 @@ func (s *strip) run(c *cursor, i, h, st int64) (int64, bool) {
 		}
 		opc = s.own.narrow(c.inner, s.idx)
 		for k := range s.own.dims {
-			if d := &s.own.dims[k]; s.lhs.subs[d.dim].loop {
+			if d := &s.own.dims[k]; lhs.subs[d.dim].loop {
 				n = min(n, within(s.idx[d.dim], d.lo, d.hi, st))
 			}
 		}
@@ -459,10 +432,10 @@ func (s *strip) run(c *cursor, i, h, st int64) (int64, bool) {
 	for p := steps/ctxCheckSteps - vm.steps/ctxCheckSteps; p > 0; p-- {
 		vm.poll()
 	}
-	data, off := s.lhs.a.data, s.lhs.off
+	data, off := lhs.a.data, lhs.off
 	for _, v := range vm.sf[:n] {
 		data[off] = v
-		off += s.lhs.step
+		off += lhs.step
 	}
 	s.plan(c.inner, opc)
 	vm.mach.Charge(vm.plan.ranks, vm.plan.us, n)
@@ -529,9 +502,9 @@ func (s *strip) eval(i, st int64, n int) {
 				x[k] = i + int64(k)*st
 			}
 		case in.op == opLoad && in.int:
-			load(j(d), in.r)
+			load(j(d), &s.refs[in.r])
 		case in.op == opLoad:
-			load(f(d), in.r)
+			load(f(d), &s.refs[in.r])
 		case in.op == opFn:
 			x := f(d)
 			for k := range x {
