@@ -30,6 +30,11 @@ func TestDiagnostics(t *testing.T) {
 			"neither a declared array nor a supported intrinsic",
 		},
 		{
+			"concatenation",
+			"PROGRAM p\nX = 0 // 0\nEND",
+			"concatenation",
+		},
+		{
 			"rank mismatch",
 			"PROGRAM p\nREAL A(4,4)\nX = A(1)\nEND",
 			"rank",

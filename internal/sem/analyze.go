@@ -399,6 +399,9 @@ func (a *analyzer) binaryTypeAndShape(x *ast.BinaryExpr, scope *loopScope) (ast.
 			a.errorf(x.Y.Pos(), "%s requires LOGICAL operands, got %s", x.Op, rt)
 		}
 		return ast.TLogical, sh
+	case token.CONCAT:
+		a.errorf(x.Pos(), "%s (concatenation) is not supported", x.Op)
+		return ast.TUnknown, sh
 	}
 	a.requireNumeric(lt, x.X.Pos())
 	a.requireNumeric(rt, x.Y.Pos())
