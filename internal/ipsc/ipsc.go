@@ -186,22 +186,7 @@ func (m *Machine) ComputeUS(rank int, cycles float64) float64 {
 // Stats.ComputeUS receive the same additions, in the same order, as the
 // Compute calls whose ComputeUS values us holds.
 func (m *Machine) Charge(ranks []int, us []float64, n int) {
-	total, one := m.Stats.ComputeUS, len(ranks) > 0
-	for _, r := range ranks {
-		one = one && r == ranks[0]
-	}
-	if one {
-		// One rank: keep its clock in a register too.
-		clock := m.clocks[ranks[0]]
-		for ; n > 0; n-- {
-			for _, u := range us {
-				clock += u
-				total += u
-			}
-		}
-		m.clocks[ranks[0]], m.Stats.ComputeUS = clock, total
-		return
-	}
+	total := m.Stats.ComputeUS
 	for ; n > 0; n-- {
 		for k, r := range ranks {
 			m.clocks[r] += us[k]

@@ -43,32 +43,34 @@ func TestComputeAdvancesClock(t *testing.T) {
 	}
 }
 
-// TestChargeMatchesCompute replays rounds of charges, to one rank and to
-// several, and wants the clocks and ComputeUS bits that the same Compute
-// calls give.
+// TestChargeMatchesCompute replays one round and many rounds of charges,
+// to one rank and to several, and wants the clocks and ComputeUS bits that
+// the same Compute calls give.
 func TestChargeMatchesCompute(t *testing.T) {
 	cycles := []float64{7, 1e-3, 123456.789, 3}
 	for _, ranks := range [][]int{{2, 2, 2}, {0, 1, 3, 0}} {
-		cfg := DefaultConfig(4)
-		a, _ := New(cfg)
-		b, _ := New(cfg)
-		us := make([]float64, len(ranks))
-		for k, r := range ranks {
-			us[k] = b.ComputeUS(r, cycles[k])
-		}
-		for round := 0; round < 37; round++ {
+		for _, rounds := range []int{1, 37} {
+			cfg := DefaultConfig(4)
+			a, _ := New(cfg)
+			b, _ := New(cfg)
+			us := make([]float64, len(ranks))
 			for k, r := range ranks {
-				a.Compute(r, cycles[k])
+				us[k] = b.ComputeUS(r, cycles[k])
 			}
-		}
-		b.Charge(ranks, us, 37)
-		for r := 0; r < 4; r++ {
-			if math.Float64bits(a.Time(r)) != math.Float64bits(b.Time(r)) {
-				t.Errorf("ranks %v: clock %d = %v after Charge, %v after Compute", ranks, r, b.Time(r), a.Time(r))
+			for round := 0; round < rounds; round++ {
+				for k, r := range ranks {
+					a.Compute(r, cycles[k])
+				}
 			}
-		}
-		if math.Float64bits(a.Stats.ComputeUS) != math.Float64bits(b.Stats.ComputeUS) {
-			t.Errorf("ranks %v: ComputeUS = %v after Charge, %v after Compute", ranks, b.Stats.ComputeUS, a.Stats.ComputeUS)
+			b.Charge(ranks, us, rounds)
+			for r := 0; r < 4; r++ {
+				if math.Float64bits(a.Time(r)) != math.Float64bits(b.Time(r)) {
+					t.Errorf("ranks %v, %d rounds: clock %d = %v after Charge, %v after Compute", ranks, rounds, r, b.Time(r), a.Time(r))
+				}
+			}
+			if math.Float64bits(a.Stats.ComputeUS) != math.Float64bits(b.Stats.ComputeUS) {
+				t.Errorf("ranks %v, %d rounds: ComputeUS = %v after Charge, %v after Compute", ranks, rounds, b.Stats.ComputeUS, a.Stats.ComputeUS)
+			}
 		}
 	}
 }
